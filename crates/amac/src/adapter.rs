@@ -18,6 +18,7 @@ use radio_sim::engine::Engine;
 use radio_sim::environment::Environment;
 use radio_sim::graph::NodeId;
 use radio_sim::process::ProcId;
+use radio_sim::trace::RecordingPolicy;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -71,7 +72,8 @@ pub struct LbMac {
 
 impl LbMac {
     /// Deploys `LBAlg(cfg)` on the topology under the given link
-    /// scheduler.
+    /// scheduler. The trace keeps aggregate channel statistics next to
+    /// inputs and outputs.
     pub fn new(
         topo: &radio_sim::topology::Topology,
         scheduler: Box<dyn radio_sim::scheduler::LinkScheduler>,
@@ -88,7 +90,9 @@ impl LbMac {
             shared: Arc::clone(&shared),
         };
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let config = topo.configuration(scheduler);
+        let config = topo
+            .configuration(scheduler)
+            .with_recording(RecordingPolicy::stats_only());
         let proc_ids = config.proc_ids.clone();
         let engine = Engine::new(config, procs, Box::new(bridge), master_seed);
         LbMac {
@@ -109,6 +113,17 @@ impl LbMac {
     /// The accumulated execution trace (for spec checking in tests).
     pub fn trace(&self) -> &local_broadcast::LbTrace {
         self.engine.trace()
+    }
+
+    /// Attaches (or detaches) telemetry on the engine behind the layer;
+    /// see [`radio_sim::engine::Engine::set_telemetry`].
+    pub fn set_telemetry(&mut self, enabled: bool) {
+        self.engine.set_telemetry(enabled);
+    }
+
+    /// Takes the engine's metrics (`None` unless telemetry is attached).
+    pub fn take_telemetry(&mut self) -> Option<radio_sim::engine::EngineMetrics> {
+        self.engine.take_telemetry()
     }
 }
 

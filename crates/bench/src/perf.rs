@@ -42,9 +42,8 @@ pub struct EngineCase {
     pub node_rounds_per_sec: f64,
 }
 
-/// One mock-net transport measurement: the chatter workload running as
-/// a cluster of node runtimes over `MockNetTransport` with one round of
-/// per-hop delay.
+/// One mock-net transport measurement: the chatter workload running on
+/// the engine over `MockNetTransport` with one round of per-hop delay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransportCase {
     /// Case name (`mock-net-<n>`).
@@ -119,8 +118,8 @@ pub struct BenchReport {
     /// written before the section existed.
     #[serde(default)]
     pub scale: Vec<EngineCase>,
-    /// The transport section: the chatter workload as a node-runtime
-    /// cluster over the mock network (see docs/transport.md). Empty in
+    /// The transport section: the chatter workload on the engine over
+    /// the mock network (see docs/transport.md). Empty in
     /// reports written before the section existed.
     #[serde(default)]
     pub transport: Vec<TransportCase>,
@@ -587,9 +586,9 @@ pub fn scale_cases(rounds: u64) -> Vec<EngineCase> {
         .collect()
 }
 
-/// Measures the chatter workload as a node-runtime cluster over the
-/// mock network (full `G'` link set, one round of per-hop delay) on an
-/// RGG of `n` vertices: a timed stats-only window for throughput, plus a
+/// Measures the chatter workload on the engine over the mock network
+/// (full `G'` link set, one round of per-hop delay) on an RGG of `n`
+/// vertices: a timed stats-only window for throughput, plus a
 /// short full-recording run for the measured per-hop delivery latency.
 pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
     use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport};

@@ -1,61 +1,19 @@
-//! `LBAlg` over both substrates: the unmodified `LbProcess` runs as a
-//! cluster of node runtimes over the `net` crate's transports — the sim
-//! transport byte-identically to the engine, the mock network with the
-//! same `t_ack` guarantee under delay and loss the simulator cannot
-//! express.
+//! `LBAlg` off the simulator: the unmodified `LbProcess` runs on the
+//! engine over the `net` crate's mock network, with the same `t_ack`
+//! guarantee under delay and loss the simulator cannot express.
 
 use local_broadcast::config::LbConfig;
 use local_broadcast::service::QueueWorkload;
-use local_broadcast::spec;
 use local_broadcast::{LbOutput, LbProcess, Payload};
-use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport, SimTransport};
-use radio_sim::engine::Engine;
+use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport};
 use radio_sim::graph::NodeId;
-use radio_sim::scheduler::AllExtraEdges;
 use radio_sim::topology;
-use radio_sim::trace::RecordingPolicy;
 use std::collections::VecDeque;
 
 fn workload(n: usize, sender: usize) -> QueueWorkload {
     let mut queues = vec![VecDeque::new(); n];
     queues[sender].push_back(Payload::new(sender as u64, 0));
     QueueWorkload::new(queues, 1)
-}
-
-/// The simulator behind the transport trait is invisible to `LBAlg`:
-/// engine and sim-transport cluster produce byte-identical executions,
-/// and the LB specification accepts the cluster's trace.
-#[test]
-fn lb_over_the_sim_transport_is_the_engine() {
-    let topo = topology::line(5, 0.9, 2.0);
-    let cfg = LbConfig::fast(0.25);
-    let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
-    let n = topo.graph.len();
-    let rounds = params.t_ack_rounds() + params.phase_len();
-    let seed = 7;
-
-    let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let config = topo
-        .configuration(Box::new(AllExtraEdges))
-        .with_recording(RecordingPolicy::full());
-    let mut engine = Engine::new(config, procs, Box::new(workload(n, 0)), seed);
-    engine.run(rounds);
-    let reference = engine.into_trace();
-
-    let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = SimTransport::new(topo.graph.clone(), Box::new(AllExtraEdges));
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
-        .with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(workload(n, 0)), seed);
-    cluster.run(rounds);
-    let trace = cluster.into_trace();
-
-    assert_eq!(reference.events, trace.events);
-    assert_eq!(reference.round_stats, trace.round_stats);
-    spec::check_timely_ack(&trace, params.t_ack_rounds())
-        .expect("t_ack holds on the cluster trace");
-    spec::check_validity(&trace, &topo.graph).expect("validity holds on the cluster trace");
 }
 
 /// `t_ack` is a clock guarantee, not a channel guarantee: the sender

@@ -1,93 +1,35 @@
-//! Node runtimes and the round-synchronized cluster.
+//! The cluster: the engine with a [`Transport`] as its channel.
 //!
-//! A [`NodeRuntime`] is one process plus its private random stream — the
-//! unit a real deployment would run per device. A [`Cluster`] drives N
-//! runtimes through the paper's Section 2 round structure (inputs →
-//! transmit decisions → reception → outputs), with the reception step
-//! delegated entirely to a [`Transport`]: the runtimes communicate
-//! *only* through it.
-//!
-//! The cluster replicates [`radio_sim::engine::Engine::step`] exactly —
-//! same callback order, same event ordering, same fault-coin discipline,
-//! same per-node RNG derivation — so a cluster over
-//! [`SimTransport`](crate::transport::SimTransport) produces a trace
-//! byte-identical to the engine's (pinned by tests here and by a
-//! proptest in `tests/`), and any divergence under
-//! [`MockNetTransport`](crate::transport::MockNetTransport) is
-//! attributable to the network model alone.
+//! A [`Cluster`] is a [`radio_sim::engine::Engine`] built over a
+//! [`TransportChannel`], so its rounds are the engine's rounds — same
+//! fault step, callback order, per-node RNG derivation, drop-burst coin
+//! discipline, trace and telemetry — and the processes communicate *only*
+//! through the transport. Any divergence from a simulator run is
+//! therefore attributable to the network model alone.
 
-use crate::transport::{Reception, Transport};
+use crate::transport::{Transport, TransportChannel};
+use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::Environment;
 use radio_sim::fault::FaultPlan;
-use radio_sim::graph::{DualGraph, NodeId};
-use radio_sim::process::{Action, Context, ProcId, Process};
-use radio_sim::rng::{derive_stream, StreamKind};
-use radio_sim::timeline::GraphTimeline;
-use radio_sim::trace::{Event, EventKind, FaultEvent, RecordingPolicy, RoundStats, Trace};
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use radio_sim::graph::DualGraph;
+use radio_sim::process::Process;
+use radio_sim::scheduler::NoExtraEdges;
+use radio_sim::trace::{RecordingPolicy, Trace};
 use std::sync::Arc;
 
 /// Everything a cluster needs besides the transport, the processes, the
-/// environment, and the seed — the same knobs as
-/// [`radio_sim::engine::Configuration`] minus the channel (scheduler and
-/// shards live inside the transport now).
+/// environment, and the seed: an engine [`Configuration`] without the
+/// channel (its scheduler and shard count configure the simulator's
+/// channel, which a cluster replaces with the transport).
 #[derive(Debug)]
-pub struct ClusterConfig {
-    /// The dual graph the nodes live on. Must be the same graph the
-    /// transport routes over.
-    pub graph: Arc<DualGraph>,
-    /// Id assignment: `proc_ids[v]` is the process id at vertex `v`.
-    /// Must be injective.
-    pub proc_ids: Vec<ProcId>,
-    /// The geographic parameter `r ≥ 1`.
-    pub r: f64,
-    /// What the cluster records into the trace.
-    pub recording: RecordingPolicy,
-    /// The fault schedule (churn, jamming, drop bursts); empty by
-    /// default.
-    pub faults: FaultPlan,
-    /// Dynamic geometry: the epoch schedule of dual-graph snapshots.
-    /// Must match the timeline installed on the transport
-    /// ([`crate::transport::SimTransport::with_timeline`]) so both
-    /// sides swap at identical boundaries. `None` keeps the static
-    /// path byte-identical.
-    pub timeline: Option<GraphTimeline>,
-}
+pub struct ClusterConfig(Configuration);
 
 impl ClusterConfig {
     /// A config with the identity id assignment, `r = 2`, and
-    /// output-only recording — the same defaults as
-    /// [`radio_sim::engine::Configuration::new`].
+    /// output-only recording — the defaults of
+    /// [`Configuration::new`].
     pub fn new(graph: impl Into<Arc<DualGraph>>) -> Self {
-        let graph = graph.into();
-        let n = graph.len();
-        ClusterConfig {
-            graph,
-            proc_ids: (0..n as u64).collect(),
-            r: 2.0,
-            recording: RecordingPolicy::outputs_only(),
-            faults: FaultPlan::none(),
-            timeline: None,
-        }
-    }
-
-    /// Installs a dynamic-geometry timeline. The config's `graph`
-    /// becomes the timeline's first snapshot, mirroring
-    /// [`radio_sim::engine::Configuration::with_timeline`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timeline's vertex count differs from the graph's.
-    pub fn with_timeline(mut self, timeline: GraphTimeline) -> Self {
-        assert_eq!(
-            timeline.len(),
-            self.graph.len(),
-            "timeline must cover the same vertex set as the graph"
-        );
-        self.graph = Arc::clone(timeline.epoch_graph(0));
-        self.timeline = Some(timeline);
-        self
+        ClusterConfig(Configuration::new(graph, Box::new(NoExtraEdges)))
     }
 
     /// Sets the geographic parameter `r`.
@@ -95,32 +37,13 @@ impl ClusterConfig {
     /// # Panics
     ///
     /// Panics if `r < 1`.
-    pub fn with_r(mut self, r: f64) -> Self {
-        assert!(r >= 1.0, "the model requires r >= 1, got {r}");
-        self.r = r;
-        self
-    }
-
-    /// Sets an explicit id assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment length differs from the vertex count or
-    /// is not injective.
-    pub fn with_proc_ids(mut self, ids: Vec<ProcId>) -> Self {
-        assert_eq!(ids.len(), self.graph.len(), "one id per vertex required");
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len(), "id assignment must be injective");
-        self.proc_ids = ids;
-        self
+    pub fn with_r(self, r: f64) -> Self {
+        ClusterConfig(self.0.with_r(r))
     }
 
     /// Sets the trace recording policy.
-    pub fn with_recording(mut self, recording: RecordingPolicy) -> Self {
-        self.recording = recording;
-        self
+    pub fn with_recording(self, recording: RecordingPolicy) -> Self {
+        ClusterConfig(self.0.with_recording(recording))
     }
 
     /// Installs a fault plan.
@@ -129,79 +52,24 @@ impl ClusterConfig {
     ///
     /// Panics if the plan references a vertex outside the graph or
     /// contains a malformed window/probability.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        faults
-            .validate(self.graph.len())
-            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-        self.faults = faults;
-        self
+    pub fn with_faults(self, faults: FaultPlan) -> Self {
+        ClusterConfig(self.0.with_faults(faults))
     }
 }
 
-/// One process and its private random stream — the per-device state a
-/// real deployment would host behind a socket.
-pub struct NodeRuntime<P: Process> {
-    proc: P,
-    rng: ChaCha8Rng,
-}
-
-impl<P: Process> NodeRuntime<P> {
-    /// The process this runtime hosts.
-    pub fn process(&self) -> &P {
-        &self.proc
-    }
-}
-
-/// The round synchronizer: drives N [`NodeRuntime`]s through the
-/// Section 2 round structure, resolving receptions through a
-/// [`Transport`].
+/// The engine whose channel is the transport `T`.
 ///
-/// Step order per round, mirroring the engine exactly:
-///
-/// 0. fault masks and Crash/Recover/JamStart/JamEnd transitions (with
-///    `on_restart` hooks);
-/// 1. environment inputs (fed last round's outputs);
-/// 2. transmit decisions (down nodes take no step);
-/// 3. `transport.resolve_round`, then per-listener classification
-///    (jamming, drop bursts) and `on_receive`;
-/// 4. outputs, consumed by the environment next round.
-pub struct Cluster<P: Process, T: Transport<P::Msg>> {
-    graph: Arc<DualGraph>,
-    /// Dynamic geometry: `graph` is swapped from this schedule at epoch
-    /// starts, before the round's fault step — the same boundaries the
-    /// engine (and a timeline-carrying transport) swap at.
-    timeline: Option<GraphTimeline>,
-    epoch: usize,
-    transport: T,
-    r: f64,
-    recording: RecordingPolicy,
-    faults: FaultPlan,
-    master_seed: u64,
-    delta: usize,
-    delta_prime: usize,
-    nodes: Vec<NodeRuntime<P>>,
-    env: Box<dyn Environment<P::Input, P::Output>>,
-    pending_outputs: Vec<(NodeId, P::Output)>,
-    outputs_prev: Vec<(NodeId, P::Output)>,
-    round: u64,
-    down: Vec<bool>,
-    down_prev: Vec<bool>,
-    jammed: Vec<bool>,
-    jam_prev: Vec<bool>,
-    /// Per-round action vector handed to the transport, reused across
-    /// rounds.
-    actions: Vec<Action<P::Msg>>,
-    /// Per-round receptions filled by the transport, reused across
-    /// rounds.
-    receptions: Vec<Reception<P::Msg>>,
-    transmitters: usize,
-    trace: Trace<P::Input, P::Output, P::Msg>,
+/// A cluster has no round logic of its own: it dereferences to its
+/// [`Engine`], so `run`, `run_until`, `step`, `trace`, `telemetry` and
+/// the rest are the engine's.
+pub struct Cluster<P: Process, T> {
+    engine: Engine<P, TransportChannel<T, P::Msg>>,
 }
 
 impl<P: Process, T: Transport<P::Msg>> Cluster<P, T> {
     /// Builds a cluster from a config, a transport, one process per
     /// vertex, an environment, and the master seed (per-node streams
-    /// derive exactly as in [`radio_sim::engine::Engine::new`]).
+    /// derive exactly as in [`Engine::new`]).
     ///
     /// # Panics
     ///
@@ -213,409 +81,54 @@ impl<P: Process, T: Transport<P::Msg>> Cluster<P, T> {
         env: Box<dyn Environment<P::Input, P::Output>>,
         master_seed: u64,
     ) -> Self {
-        let n = config.graph.len();
-        assert_eq!(procs.len(), n, "need exactly one process per vertex");
-        let nodes = procs
-            .into_iter()
-            .enumerate()
-            .map(|(v, proc)| NodeRuntime {
-                proc,
-                rng: derive_stream(master_seed, StreamKind::Process, v as u64),
-            })
-            .collect();
-        // Timeline maxima when geometry is dynamic, exactly like the
-        // engine, so processes see constant Δ/Δ' across epochs.
-        let (delta, delta_prime) = match &config.timeline {
-            Some(t) => (t.delta(), t.delta_prime()),
-            None => (config.graph.delta(), config.graph.delta_prime()),
-        };
-        let trace = Trace::new(n, config.proc_ids.clone());
         Cluster {
-            graph: config.graph,
-            timeline: config.timeline,
-            epoch: 0,
-            transport,
-            r: config.r,
-            recording: config.recording,
-            faults: config.faults,
-            master_seed,
-            delta,
-            delta_prime,
-            nodes,
-            env,
-            pending_outputs: Vec::new(),
-            outputs_prev: Vec::new(),
-            round: 0,
-            down: vec![false; n],
-            down_prev: vec![false; n],
-            jammed: vec![false; n],
-            jam_prev: vec![false; n],
-            actions: (0..n).map(|_| Action::Receive).collect(),
-            receptions: Vec::with_capacity(n),
-            transmitters: 0,
-            trace,
+            engine: Engine::with_channel(
+                config.0,
+                TransportChannel::new(transport),
+                procs,
+                env,
+                master_seed,
+            ),
         }
     }
 
-    /// The number of completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The execution trace accumulated so far.
-    pub fn trace(&self) -> &Trace<P::Input, P::Output, P::Msg> {
-        &self.trace
-    }
-
-    /// Consumes the cluster, yielding the trace.
-    pub fn into_trace(self) -> Trace<P::Input, P::Output, P::Msg> {
-        self.trace
-    }
-
-    /// The node runtimes (for instrumentation in experiments).
-    pub fn nodes(&self) -> &[NodeRuntime<P>] {
-        &self.nodes
-    }
-
-    /// Read access to the processes, in vertex order.
-    pub fn processes(&self) -> impl Iterator<Item = &P> {
-        self.nodes.iter().map(|nr| &nr.proc)
+    /// The processes, in vertex order.
+    pub fn processes(&self) -> std::slice::Iter<'_, P> {
+        self.engine.processes().iter()
     }
 
     /// The transport the cluster routes over.
     pub fn transport(&self) -> &T {
-        &self.transport
+        self.engine.channel().transport()
     }
 
-    /// The dual graph the nodes live on (the current epoch's snapshot
-    /// when geometry is dynamic).
-    pub fn graph(&self) -> &DualGraph {
-        &self.graph
-    }
-
-    /// The index of the epoch whose snapshot is currently in force
-    /// (always 0 for static geometry).
-    pub fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    /// Reserves trace capacity for `rounds` further rounds of channel
-    /// stats (mirrors [`radio_sim::engine::Engine::reserve_rounds`]).
-    pub fn reserve_rounds(&mut self, rounds: u64) {
-        if self.recording.channel_stats {
-            self.trace.round_stats.reserve(rounds as usize);
-        }
-    }
-
-    /// Executes one synchronous round.
-    pub fn step(&mut self) {
-        let n = self.graph.len();
-        let round = self.round + 1;
-        let have_faults = !self.faults.is_empty();
-
-        // Dynamic geometry: swap in the snapshot covering this round
-        // before anything reads adjacency (the transport swaps its own
-        // copy inside `resolve_round` at the same boundaries).
-        if let Some(tl) = &self.timeline {
-            while self.epoch + 1 < tl.num_epochs() && tl.epoch_start(self.epoch + 1) <= round {
-                self.epoch += 1;
-                self.graph = Arc::clone(tl.epoch_graph(self.epoch));
-            }
-        }
-
-        // Step 0: fault masks for this round; record Crash/Recover and
-        // JamStart/JamEnd transitions and fire recovery hooks.
-        if have_faults {
-            self.faults.fill_down(round, &mut self.down);
-            self.faults.fill_jammed(round, &mut self.jammed);
-            for v in 0..n {
-                if self.down[v] != self.down_prev[v] {
-                    let kind = if self.down[v] {
-                        FaultEvent::Crash
-                    } else {
-                        FaultEvent::Recover
-                    };
-                    self.trace.events.push(Event {
-                        round,
-                        node: NodeId(v),
-                        kind: EventKind::Fault(kind),
-                    });
-                    if !self.down[v] {
-                        let node = &mut self.nodes[v];
-                        let ctx = &mut Context {
-                            round,
-                            id: self.trace.proc_ids[v],
-                            delta: self.delta,
-                            delta_prime: self.delta_prime,
-                            r: self.r,
-                            rng: &mut node.rng,
-                        };
-                        // Same dispatch as the engine's step 0, so a
-                        // cluster execution stays byte-identical to the
-                        // simulator's under every crash mode.
-                        if self.faults.restart_recovery(NodeId(v), round) {
-                            node.proc.on_crash_restart(ctx);
-                        } else {
-                            node.proc.on_restart(ctx);
-                        }
-                    }
-                }
-                if self.jammed[v] != self.jam_prev[v] {
-                    let kind = if self.jammed[v] {
-                        FaultEvent::JamStart
-                    } else {
-                        FaultEvent::JamEnd
-                    };
-                    self.trace.events.push(Event {
-                        round,
-                        node: NodeId(v),
-                        kind: EventKind::Fault(kind),
-                    });
-                }
-            }
-            self.down_prev.copy_from_slice(&self.down);
-            self.jam_prev.copy_from_slice(&self.jammed);
-        }
-
-        // Step 1: environment inputs (receives last round's outputs).
-        std::mem::swap(&mut self.pending_outputs, &mut self.outputs_prev);
-        self.pending_outputs.clear();
-        let inputs = self.env.next_inputs(round, &self.outputs_prev);
-        for (v, input) in inputs {
-            assert!(v.0 < n, "environment addressed nonexistent vertex {v}");
-            if have_faults && self.down[v.0] {
-                self.trace.events.push(Event {
-                    round,
-                    node: v,
-                    kind: EventKind::Fault(FaultEvent::InputLost),
-                });
-                continue;
-            }
-            self.trace.events.push(Event {
-                round,
-                node: v,
-                kind: EventKind::Input(input.clone()),
-            });
-            let node = &mut self.nodes[v.0];
-            let ctx = &mut Context {
-                round,
-                id: self.trace.proc_ids[v.0],
-                delta: self.delta,
-                delta_prime: self.delta_prime,
-                r: self.r,
-                rng: &mut node.rng,
-            };
-            node.proc.on_input(input, ctx);
-        }
-
-        // Step 2: transmit decisions. Down nodes take no step (their
-        // action stays Receive, so the transport sees them as silent
-        // listeners, exactly like the engine's skipped transmitters).
-        self.transmitters = 0;
-        for (v, node) in self.nodes.iter_mut().enumerate() {
-            self.actions[v] = Action::Receive;
-            if have_faults && self.down[v] {
-                continue;
-            }
-            let ctx = &mut Context {
-                round,
-                id: self.trace.proc_ids[v],
-                delta: self.delta,
-                delta_prime: self.delta_prime,
-                r: self.r,
-                rng: &mut node.rng,
-            };
-            match node.proc.transmit(ctx) {
-                Action::Transmit(m) => {
-                    self.actions[v] = Action::Transmit(m);
-                    self.transmitters += 1;
-                    if self.recording.transmissions {
-                        self.trace.events.push(Event {
-                            round,
-                            node: NodeId(v),
-                            kind: EventKind::Transmit,
-                        });
-                    }
-                }
-                Action::Receive => {}
-            }
-        }
-
-        // Step 3: the transport resolves this round's traffic; classify
-        // per listener (jamming, drop bursts) and deliver.
-        self.transport
-            .resolve_round(round, &self.actions, &mut self.receptions);
-        assert_eq!(
-            self.receptions.len(),
-            n,
-            "transport must report one reception per vertex"
-        );
-
-        let mut stats = self.recording.channel_stats.then(|| RoundStats {
-            transmitters: self.transmitters,
-            ..Default::default()
-        });
-
-        // The drop-burst stream for this round, derived lazily exactly
-        // like the engine's: fault coins never touch process, scheduler,
-        // or transport randomness.
-        let mut fault_rng: Option<ChaCha8Rng> = None;
-        for u in 0..n {
-            if have_faults && self.down[u] {
-                if let Some(s) = stats.as_mut() {
-                    s.down += 1;
-                }
-                continue;
-            }
-            let received: Option<P::Msg> = if matches!(self.actions[u], Action::Transmit(_)) {
-                // Transmitters are not receiving this round.
-                None
-            } else if have_faults && self.jammed[u] {
-                if let Some(s) = stats.as_mut() {
-                    s.jammed += 1;
-                }
-                None
-            } else {
-                match &self.receptions[u] {
-                    Reception::Message { from, msg } => {
-                        let from = *from;
-                        // An otherwise-successful reception may still be
-                        // lost to an active drop burst (one coin per
-                        // burst, in vertex order, from the fault stream).
-                        let mut suppressed = false;
-                        if have_faults {
-                            for burst in self.faults.active_drops(round) {
-                                let rng = fault_rng.get_or_insert_with(|| {
-                                    derive_stream(self.master_seed, StreamKind::Fault, round)
-                                });
-                                if rng.gen_bool(burst.p) {
-                                    suppressed = true;
-                                }
-                            }
-                        }
-                        if suppressed {
-                            if self.recording.receptions {
-                                self.trace.events.push(Event {
-                                    round,
-                                    node: NodeId(u),
-                                    kind: EventKind::Fault(FaultEvent::Dropped { from }),
-                                });
-                            }
-                            if let Some(s) = stats.as_mut() {
-                                s.dropped += 1;
-                            }
-                            None
-                        } else {
-                            let msg = msg.clone();
-                            if self.recording.receptions {
-                                self.trace.events.push(Event {
-                                    round,
-                                    node: NodeId(u),
-                                    kind: EventKind::Receive {
-                                        from,
-                                        msg: msg.clone(),
-                                    },
-                                });
-                            }
-                            if let Some(s) = stats.as_mut() {
-                                s.deliveries += 1;
-                            }
-                            Some(msg)
-                        }
-                    }
-                    Reception::Silence => {
-                        if let Some(s) = stats.as_mut() {
-                            s.silent += 1;
-                        }
-                        None
-                    }
-                    Reception::Collision => {
-                        if let Some(s) = stats.as_mut() {
-                            s.collisions += 1;
-                        }
-                        None
-                    }
-                }
-            };
-            let node = &mut self.nodes[u];
-            let ctx = &mut Context {
-                round,
-                id: self.trace.proc_ids[u],
-                delta: self.delta,
-                delta_prime: self.delta_prime,
-                r: self.r,
-                rng: &mut node.rng,
-            };
-            node.proc.on_receive(received, ctx);
-        }
-
-        if let Some(s) = stats {
-            self.trace.round_stats.push(s);
-        }
-
-        // Step 4: outputs, consumed by the environment next round.
-        for v in 0..n {
-            if have_faults && self.down[v] {
-                continue;
-            }
-            if !self.nodes[v].proc.has_outputs() {
-                continue;
-            }
-            for out in self.nodes[v].proc.take_outputs() {
-                self.trace.events.push(Event {
-                    round,
-                    node: NodeId(v),
-                    kind: EventKind::Output(out.clone()),
-                });
-                self.pending_outputs.push((NodeId(v), out));
-            }
-        }
-
-        self.round = round;
-        self.trace.rounds = round;
-    }
-
-    /// Executes `rounds` additional rounds.
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Steps until `pred(trace)` holds or `max_rounds` total rounds have
-    /// run; returns whether the predicate held.
-    pub fn run_until(
-        &mut self,
-        max_rounds: u64,
-        mut pred: impl FnMut(&Trace<P::Input, P::Output, P::Msg>) -> bool,
-    ) -> bool {
-        while self.round < max_rounds {
-            self.step();
-            if pred(&self.trace) {
-                return true;
-            }
-        }
-        false
+    /// Consumes the cluster, yielding the trace.
+    pub fn into_trace(self) -> Trace<P::Input, P::Output, P::Msg> {
+        self.engine.into_trace()
     }
 }
 
-impl<P: Process, T: Transport<P::Msg>> std::fmt::Debug for Cluster<P, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("n", &self.graph.len())
-            .field("round", &self.round)
-            .field("transport", &self.transport.name())
-            .finish_non_exhaustive()
+impl<P: Process, T> std::ops::Deref for Cluster<P, T> {
+    type Target = Engine<P, TransportChannel<T, P::Msg>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.engine
+    }
+}
+
+impl<P: Process, T> std::ops::DerefMut for Cluster<P, T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{LinkSet, MockNetConfig, MockNetTransport, SimTransport};
-    use radio_sim::engine::{Configuration, Engine};
+    use crate::transport::{LinkSet, MockNetConfig, MockNetTransport};
     use radio_sim::environment::NullEnvironment;
-    use radio_sim::scheduler::{BernoulliEdges, LinkScheduler, NoExtraEdges};
+    use radio_sim::graph::NodeId;
+    use radio_sim::process::{Action, Context};
 
     /// The engine test suite's beacon: transmits its fixed message on
     /// configured rounds, outputs every message it hears.
@@ -661,141 +174,29 @@ mod tests {
         }
     }
 
-    fn faulted_graph() -> DualGraph {
-        DualGraph::new(4, [(0, 1), (1, 2), (2, 3)], [(0, 2), (1, 3)]).unwrap()
-    }
-
-    fn beacons() -> Vec<Beacon> {
-        vec![
-            Beacon::new(1, vec![1, 3, 5]),
-            Beacon::new(2, vec![2, 4]),
-            Beacon::new(3, vec![1, 2, 3]),
-            Beacon::new(4, vec![5, 6]),
-        ]
-    }
-
-    fn fault_plan() -> FaultPlan {
-        FaultPlan::none()
-            .with_crash(NodeId(2), 2, Some(4))
-            .with_jam(vec![NodeId(0), NodeId(3)], 3, 5)
-            .with_drop_burst(1, 6, 0.5)
-    }
-
-    /// The keystone in miniature: a cluster over `SimTransport` is
-    /// byte-identical to the engine — same events, same stats — on a
-    /// faulted execution with a randomized scheduler. (The proptest in
-    /// `tests/` widens this across random scenarios.)
-    #[test]
-    fn sim_cluster_matches_engine_byte_for_byte() {
-        let g = faulted_graph();
-        let mk_sched = || Box::new(BernoulliEdges::new(0.6, 5)) as Box<dyn LinkScheduler>;
-        let seed = 42;
-
-        let config = Configuration::new(g.clone(), mk_sched())
-            .with_recording(RecordingPolicy::full())
-            .with_faults(fault_plan());
-        let mut engine = Engine::new(config, beacons(), Box::new(NullEnvironment), seed);
-        engine.run(6);
-        let reference = engine.into_trace();
-
-        let config = ClusterConfig::new(g.clone())
-            .with_recording(RecordingPolicy::full())
-            .with_faults(fault_plan());
-        let transport = SimTransport::new(g, mk_sched());
-        let mut cluster = Cluster::new(config, transport, beacons(), Box::new(NullEnvironment), seed);
-        cluster.run(6);
-        let trace = cluster.into_trace();
-
-        assert_eq!(reference.events, trace.events);
-        assert_eq!(reference.round_stats, trace.round_stats);
-        assert_eq!(reference.rounds, trace.rounds);
-    }
-
-    /// Down nodes must not advance their RNG (the engine skips their
-    /// callbacks entirely); a divergence here would silently desync
-    /// every round after recovery.
-    #[test]
-    fn sim_cluster_matches_engine_after_recovery() {
-        let g = faulted_graph();
-        let faults = || FaultPlan::none().with_crash(NodeId(1), 2, Some(5));
-        let seed = 7;
-
-        let config = Configuration::new(g.clone(), Box::new(NoExtraEdges) as Box<dyn LinkScheduler>)
-            .with_recording(RecordingPolicy::full())
-            .with_faults(faults());
-        let mut engine = Engine::new(config, beacons(), Box::new(NullEnvironment), seed);
-        engine.run(8);
-
-        let config = ClusterConfig::new(g.clone())
-            .with_recording(RecordingPolicy::full())
-            .with_faults(faults());
-        let transport = SimTransport::new(g, Box::new(NoExtraEdges));
-        let mut cluster = Cluster::new(config, transport, beacons(), Box::new(NullEnvironment), seed);
-        cluster.run(8);
-
-        assert_eq!(engine.trace().events, cluster.trace().events);
-    }
-
-    /// The ISSUE 10 keystone in miniature: with a *multi-epoch*
-    /// timeline installed on both the cluster and its `SimTransport`,
-    /// the execution stays byte-identical to the engine's over the same
-    /// timeline — faults, randomized scheduler, and all.
-    #[test]
-    fn sim_cluster_matches_engine_across_epoch_boundaries() {
-        let a = Arc::new(faulted_graph());
-        // Epoch 2 rewires the middle of the line and shifts the extra
-        // edges; epoch 3 goes back to a denser variant.
-        let b = Arc::new(DualGraph::new(4, [(0, 2), (2, 1), (1, 3)], [(0, 3)]).unwrap());
-        let c = Arc::new(DualGraph::new(4, [(0, 1), (0, 2), (0, 3)], [(1, 2), (2, 3)]).unwrap());
-        let timeline = || {
-            GraphTimeline::new([
-                (1, Arc::clone(&a)),
-                (3, Arc::clone(&b)),
-                (5, Arc::clone(&c)),
-            ])
-            .unwrap()
-        };
-        let mk_sched = || Box::new(BernoulliEdges::new(0.6, 5)) as Box<dyn LinkScheduler>;
-        let seed = 42;
-
-        let config = Configuration::new(Arc::clone(&a), mk_sched())
-            .with_recording(RecordingPolicy::full())
-            .with_faults(fault_plan())
-            .with_timeline(timeline());
-        let mut engine = Engine::new(config, beacons(), Box::new(NullEnvironment), seed);
-        engine.run(6);
-        let reference = engine.into_trace();
-
-        let config = ClusterConfig::new(Arc::clone(&a))
-            .with_recording(RecordingPolicy::full())
-            .with_faults(fault_plan())
-            .with_timeline(timeline());
-        let transport = SimTransport::new(Arc::clone(&a), mk_sched()).with_timeline(timeline());
-        let mut cluster =
-            Cluster::new(config, transport, beacons(), Box::new(NullEnvironment), seed);
-        cluster.run(6);
-        assert_eq!(cluster.epoch(), 2);
-        let trace = cluster.into_trace();
-
-        assert_eq!(reference.events, trace.events);
-        assert_eq!(reference.round_stats, trace.round_stats);
-        assert_eq!(reference.rounds, trace.rounds);
-    }
-
-    #[test]
-    fn mock_net_cluster_delivers_over_links() {
-        let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-        let transport = MockNetTransport::new(
+    fn reliable_mock_net(g: &DualGraph) -> MockNetTransport<u32> {
+        MockNetTransport::new(
             g.clone(),
             MockNetConfig {
                 links: LinkSet::Reliable,
                 ..MockNetConfig::default()
             },
             1,
-        );
-        let config = ClusterConfig::new(g).with_recording(RecordingPolicy::full());
+        )
+    }
+
+    #[test]
+    fn mock_net_cluster_delivers_over_links() {
+        let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
+        let config = ClusterConfig::new(g.clone()).with_recording(RecordingPolicy::full());
         let procs = vec![Beacon::new(7, vec![1]), Beacon::new(9, vec![])];
-        let mut cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), 1);
+        let mut cluster = Cluster::new(
+            config,
+            reliable_mock_net(&g),
+            procs,
+            Box::new(NullEnvironment),
+            1,
+        );
         cluster.run(2);
         let outs: Vec<_> = cluster.trace().outputs().collect();
         assert_eq!(outs.len(), 1);
@@ -807,10 +208,9 @@ mod tests {
     #[should_panic(expected = "one process per vertex")]
     fn cluster_rejects_wrong_process_count() {
         let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-        let transport = SimTransport::new(g.clone(), Box::new(NoExtraEdges));
         let _ = Cluster::new(
-            ClusterConfig::new(g),
-            transport,
+            ClusterConfig::new(g.clone()),
+            reliable_mock_net(&g),
             vec![Beacon::new(1, vec![])],
             Box::new(NullEnvironment),
             1,

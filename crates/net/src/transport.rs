@@ -1,17 +1,16 @@
-//! The [`Transport`] trait and its two implementations.
+//! The [`Transport`] trait, the adapter that runs a transport as the
+//! engine's channel, and the deterministic mock network.
 //!
 //! A transport answers exactly one question per synchronous round: given
 //! every node's transmit/listen decision, what does every node *hear*?
-//! The answer is a [`Reception`] per vertex; the cluster (or any other
-//! runtime) owns everything else — process callbacks, fault masks,
-//! traces, statistics.
+//! The answer is a [`Reception`] per vertex; the engine owns everything
+//! else — process callbacks, fault masks, traces, statistics — and
+//! reaches a transport through [`TransportChannel`].
 
+use radio_sim::channel::{Channel, Heard, Transmissions};
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::Action;
-use radio_sim::resolve;
 use radio_sim::rng::{derive_stream, StreamKind};
-use radio_sim::scheduler::{AdaptiveScheduler, LinkScheduler, SchedulerBox};
-use radio_sim::timeline::GraphTimeline;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 ///
 /// Radio semantics, no collision detection: a node that transmitted
 /// this round hears nothing regardless of the variant reported for it
-/// (the runtime ignores transports' values for transmitters), and
+/// (the engine ignores transports' values for transmitters), and
 /// `Silence` vs `Collision` are indistinguishable *to the process*
 /// (both deliver `⊥`) — the distinction exists only for the outside
 /// view (channel statistics).
@@ -50,7 +49,7 @@ pub enum Reception<M> {
 /// * On return, `receptions` has one entry per vertex describing what
 ///   that vertex hears *this* round (which, for a delayed transport,
 ///   may be traffic transmitted in an earlier round).
-/// * Entries for transmitting vertices are ignored by the runtime
+/// * Entries for transmitting vertices are ignored by the engine
 ///   (a radio cannot listen while transmitting).
 /// * The result must be a pure function of the construction parameters
 ///   and the sequence of `resolve_round` calls — transports are
@@ -66,157 +65,77 @@ pub trait Transport<M: Clone + Send>: Send {
 }
 
 // ---------------------------------------------------------------------------
-// SimTransport
+// TransportChannel
 // ---------------------------------------------------------------------------
 
-/// The simulator channel behind the trait: the link scheduler picks the
-/// round topology and [`radio_sim::resolve`] applies the collision rule —
-/// the *same* free functions [`radio_sim::engine::Engine::step`] calls,
-/// serial or sharded, so executions through this transport are
-/// byte-identical to the engine's by construction.
-pub struct SimTransport {
-    graph: Arc<DualGraph>,
-    /// Dynamic geometry: the epoch schedule `graph` is swapped from,
-    /// at exactly the boundaries the engine swaps at (epoch starts,
-    /// before adjacency is read); `epoch` is the current index.
-    timeline: Option<GraphTimeline>,
-    epoch: usize,
-    scheduler: SchedulerBox,
-    shards: usize,
-    transmitting: Vec<bool>,
-    tx_list: Vec<usize>,
-    tx_neighbors: Vec<u32>,
-    last_sender: Vec<NodeId>,
+/// Any [`Transport`] as the engine's [`Channel`]: the one adapter between
+/// the message-level transport contract and the engine's index-level
+/// reception step.
+///
+/// Each round the adapter hands the transport one action per vertex
+/// (cloning each transmitter's message out of the engine's slots), then
+/// reports the transport's receptions by sender index. A delivered
+/// message is moved out of the transport's reception, so the copy the
+/// network carried is the one the process receives.
+pub struct TransportChannel<T, M> {
+    transport: T,
+    /// Per-round action vector handed to the transport, reused across
+    /// rounds.
+    actions: Vec<Action<M>>,
+    /// Per-round receptions filled by the transport, reused across
+    /// rounds.
+    receptions: Vec<Reception<M>>,
 }
 
-impl SimTransport {
-    /// A sim transport over the given dual graph and oblivious link
-    /// scheduler, serial resolution.
-    pub fn new(graph: impl Into<Arc<DualGraph>>, scheduler: Box<dyn LinkScheduler>) -> Self {
-        let graph = graph.into();
-        let n = graph.len();
-        SimTransport {
-            graph,
-            timeline: None,
-            epoch: 0,
-            scheduler: SchedulerBox::Oblivious(scheduler),
-            shards: 1,
-            transmitting: vec![false; n],
-            tx_list: Vec::with_capacity(n),
-            tx_neighbors: vec![0; n],
-            last_sender: vec![NodeId(0); n],
+impl<T, M> TransportChannel<T, M> {
+    /// Wraps a transport.
+    pub fn new(transport: T) -> Self {
+        TransportChannel {
+            transport,
+            actions: Vec::new(),
+            receptions: Vec::new(),
         }
     }
 
-    /// Replaces the scheduler with an adaptive one (E8 separation runs).
-    pub fn with_adaptive(mut self, scheduler: Box<dyn AdaptiveScheduler>) -> Self {
-        self.scheduler = SchedulerBox::Adaptive(scheduler);
-        self
+    /// The wrapped transport.
+    pub fn transport(&self) -> &T {
+        &self.transport
     }
+}
 
-    /// Fans reception resolution out over `shards` worker threads
-    /// (clamped to ≥ 1; byte-identical for every value, exactly like
-    /// [`radio_sim::engine::Configuration::with_shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Installs a dynamic-geometry timeline; the transport resolves
-    /// each round over the snapshot in force at that round, swapping at
-    /// the same epoch boundaries as the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timeline's vertex count differs from the graph's.
-    pub fn with_timeline(mut self, timeline: GraphTimeline) -> Self {
+impl<M: Clone + Send, T: Transport<M>> Channel<M> for TransportChannel<T, M> {
+    fn resolve(&mut self, tx: &Transmissions<'_, M>, _shard_busy: Option<&mut [u64]>) {
+        self.actions.clear();
+        self.actions.extend(tx.messages.iter().map(|m| match m {
+            Some(m) => Action::Transmit(m.clone()),
+            None => Action::Receive,
+        }));
+        self.transport
+            .resolve_round(tx.round, &self.actions, &mut self.receptions);
         assert_eq!(
-            timeline.len(),
-            self.graph.len(),
-            "timeline must cover the same vertex set as the graph"
+            self.receptions.len(),
+            self.actions.len(),
+            "transport must report one reception per vertex"
         );
-        self.graph = Arc::clone(timeline.epoch_graph(0));
-        self.timeline = Some(timeline);
-        self
     }
 
-    /// The dual graph this transport resolves over (the current
-    /// epoch's snapshot when geometry is dynamic).
-    pub fn graph(&self) -> &DualGraph {
-        &self.graph
+    fn heard(&self, u: usize) -> Heard {
+        match &self.receptions[u] {
+            Reception::Silence => Heard::Silence,
+            Reception::Collision => Heard::Collision,
+            Reception::Message { from, .. } => Heard::From(*from),
+        }
     }
-}
 
-impl<M: Clone + Send> Transport<M> for SimTransport {
-    fn resolve_round(
-        &mut self,
-        round: u64,
-        actions: &[Action<M>],
-        receptions: &mut Vec<Reception<M>>,
-    ) {
-        // Dynamic geometry: swap in the snapshot covering this round
-        // before adjacency is read — the same boundary discipline as
-        // the engine, so both substrates resolve over identical graphs
-        // every round.
-        if let Some(tl) = &self.timeline {
-            while self.epoch + 1 < tl.num_epochs() && tl.epoch_start(self.epoch + 1) <= round {
-                self.epoch += 1;
-                self.graph = Arc::clone(tl.epoch_graph(self.epoch));
-            }
-        }
-        let n = self.graph.len();
-        assert_eq!(actions.len(), n, "one action per vertex required");
-        self.transmitting.fill(false);
-        self.tx_list.clear();
-        for (v, a) in actions.iter().enumerate() {
-            if matches!(a, Action::Transmit(_)) {
-                self.transmitting[v] = true;
-                self.tx_list.push(v);
-            }
-        }
-        let selection = match &mut self.scheduler {
-            SchedulerBox::Oblivious(s) => s.extra_edges(round, &self.graph),
-            SchedulerBox::Adaptive(s) => s.extra_edges(round, &self.graph, &self.transmitting),
-        };
-        if self.shards > 1 {
-            resolve::resolve_receptions_sharded(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                self.shards,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-                None,
-            );
-        } else {
-            resolve::resolve_receptions_serial(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                &self.tx_list,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-            );
-        }
-        receptions.clear();
-        for u in 0..n {
-            receptions.push(match self.tx_neighbors[u] {
-                0 => Reception::Silence,
-                1 => {
-                    let from = self.last_sender[u];
-                    let msg = match &actions[from.0] {
-                        Action::Transmit(m) => m.clone(),
-                        Action::Receive => unreachable!("sender counted but not transmitting"),
-                    };
-                    Reception::Message { from, msg }
-                }
-                _ => Reception::Collision,
-            });
+    fn deliver(&mut self, u: usize, _from: NodeId, _messages: &[Option<M>]) -> M {
+        match std::mem::replace(&mut self.receptions[u], Reception::Silence) {
+            Reception::Message { msg, .. } => msg,
+            _ => unreachable!("the engine delivers only receptions reported as From"),
         }
     }
 
     fn name(&self) -> &'static str {
-        "sim"
+        self.transport.name()
     }
 }
 
@@ -254,7 +173,7 @@ pub struct MockNetConfig {
     /// Per-hop delivery delay in rounds. `0` reproduces the simulator's
     /// synchronous round structure exactly (the sim-equivalence
     /// keystone); `d > 0` delivers a round-`t` transmission at round
-    /// `t + d`.
+    /// `t + d`. Memory tracks the copies in flight, not `d`.
     pub delay_rounds: u64,
     /// Independent per-link Bernoulli loss probability, applied at send
     /// time. Coins come from `StreamKind::Transport` (one stream per
@@ -277,24 +196,26 @@ impl Default for MockNetConfig {
     }
 }
 
-/// A deterministic mock network: per-node inbox queues over an event
-/// loop keyed by arrival round.
+/// A deterministic mock network: one queue of copies in flight, keyed
+/// by arrival round.
 ///
 /// Every transmission fans out over the sender's static links; each
-/// copy independently survives partitions and loss, then sits in the
-/// receiver's inbox until its arrival round. At arrival, radio
-/// semantics apply: a receiver that is itself transmitting discards the
-/// arrivals (it cannot listen), one surviving arrival is a delivery,
-/// and two or more interfere ([`Reception::Collision`]).
+/// copy independently survives partitions and loss, then waits in the
+/// queue until its arrival round. At arrival, radio semantics apply: a
+/// receiver that is itself transmitting discards the arrivals (it cannot
+/// listen), one surviving arrival is a delivery, and two or more
+/// interfere ([`Reception::Collision`]).
 pub struct MockNetTransport<M> {
     graph: Arc<DualGraph>,
     config: MockNetConfig,
     master_seed: u64,
     /// `partition_masks[w][v]` — is `v` on the `nodes` side of window `w`?
     partition_masks: Vec<Vec<bool>>,
-    /// Ring buffer of inboxes: `pending[d]` holds `(receiver, sender, msg)`
-    /// entries arriving `d` rounds from the round being resolved.
-    pending: VecDeque<Vec<(usize, NodeId, M)>>,
+    /// Copies in flight, in send order: `(arrival round, receiver,
+    /// sender, msg)`. The per-hop delay is constant, so arrival rounds
+    /// never decrease along the queue and each round's arrivals are its
+    /// front. The storage is reused across rounds.
+    in_flight: VecDeque<(u64, usize, NodeId, M)>,
 }
 
 impl<M: Clone + Send> MockNetTransport<M> {
@@ -326,16 +247,12 @@ impl<M: Clone + Send> MockNetTransport<M> {
                 mask
             })
             .collect();
-        let mut pending = VecDeque::new();
-        for _ in 0..=config.delay_rounds {
-            pending.push_back(Vec::new());
-        }
         MockNetTransport {
             graph,
             config,
             master_seed,
             partition_masks,
-            pending,
+            in_flight: VecDeque::new(),
         }
     }
 
@@ -354,9 +271,6 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
     ) {
         let n = self.graph.len();
         assert_eq!(actions.len(), n, "one action per vertex required");
-        let graph = Arc::clone(&self.graph);
-        let delay = self.config.delay_rounds as usize;
-        debug_assert_eq!(self.pending.len(), delay + 1);
 
         // Send phase: fan each transmission out over the sender's
         // links, drop partition-crossing and lossy copies at send time,
@@ -364,24 +278,26 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
         // are flipped in (sender ascending, neighbor ascending) order
         // from this round's Transport stream, and only when the model
         // is actually lossy.
-        let active_masks: Vec<&Vec<bool>> = self
-            .config
-            .partitions
-            .iter()
-            .zip(&self.partition_masks)
-            .filter(|(w, _)| round >= w.from && round <= w.to)
-            .map(|(_, mask)| mask)
-            .collect();
+        let arrival = round.saturating_add(self.config.delay_rounds);
+        let partitions = &self.config.partitions;
+        let masks = &self.partition_masks;
+        let partitioned = partitions.iter().any(|w| w.from <= round && round <= w.to);
+        let cut = |v: usize, u: usize| {
+            partitions
+                .iter()
+                .zip(masks)
+                .any(|(w, mask)| w.from <= round && round <= w.to && mask[v] != mask[u])
+        };
         let loss_p = self.config.loss_p;
         let mut loss_rng = None;
         for (v, action) in actions.iter().enumerate() {
             let Action::Transmit(m) = action else { continue };
             let neighbors = match self.config.links {
-                LinkSet::Reliable => graph.reliable_neighbors(NodeId(v)),
-                LinkSet::All => graph.all_neighbors(NodeId(v)),
+                LinkSet::Reliable => self.graph.reliable_neighbors(NodeId(v)),
+                LinkSet::All => self.graph.all_neighbors(NodeId(v)),
             };
             for &u in neighbors {
-                if active_masks.iter().any(|mask| mask[v] != mask[u.0]) {
+                if partitioned && cut(v, u.0) {
                     continue;
                 }
                 if loss_p > 0.0 {
@@ -392,19 +308,20 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
                         continue;
                     }
                 }
-                self.pending[delay].push((u.0, NodeId(v), m.clone()));
+                self.in_flight
+                    .push_back((arrival, u.0, NodeId(v), m.clone()));
             }
         }
 
-        // Arrival phase: drain this round's inbox slot and classify.
-        // Entries for vertices transmitting this round are discarded —
-        // a radio cannot listen while transmitting, and a delayed
-        // message is not buffered past its arrival round.
-        let arrivals = self.pending.pop_front().expect("ring is never empty");
-        self.pending.push_back(Vec::new());
+        // Arrival phase: pop this round's arrivals off the front of the
+        // queue and classify. Entries for vertices transmitting this
+        // round are discarded by the engine — a radio cannot listen
+        // while transmitting, and a delayed message is not buffered past
+        // its arrival round.
         receptions.clear();
         receptions.extend((0..n).map(|_| Reception::Silence));
-        for (u, from, msg) in arrivals {
+        while self.in_flight.front().is_some_and(|c| c.0 == round) {
+            let (_, u, from, msg) = self.in_flight.pop_front().expect("front checked");
             receptions[u] = match receptions[u] {
                 Reception::Silence => Reception::Message { from, msg },
                 _ => Reception::Collision,
@@ -420,7 +337,8 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_sim::scheduler::{AllExtraEdges, NoExtraEdges};
+    use radio_sim::channel::SimChannel;
+    use radio_sim::scheduler::{NoExtraEdges, SchedulerBox};
 
     fn line4() -> DualGraph {
         DualGraph::new(4, [(0, 1), (1, 2), (2, 3)], [(0, 2), (1, 3)]).unwrap()
@@ -435,73 +353,45 @@ mod tests {
     }
 
     #[test]
-    fn sim_transport_classifies_by_collision_rule() {
-        let mut t = SimTransport::new(line4(), Box::new(NoExtraEdges));
-        let mut out = Vec::new();
-        // 0 and 2 transmit: 1 collides, 3 hears 2.
-        t.resolve_round(1, &[tx(7), rx(), tx(9), rx()], &mut out);
-        assert_eq!(out[1], Reception::Collision);
-        assert_eq!(
-            out[3],
-            Reception::Message {
-                from: NodeId(2),
-                msg: 9
-            }
-        );
-        assert_eq!(out[0], Reception::Silence);
-    }
-
-    #[test]
-    fn sim_transport_extra_edges_follow_the_scheduler() {
-        let g = DualGraph::new(2, [], [(0, 1)]).unwrap();
-        let mut with = SimTransport::new(g.clone(), Box::new(AllExtraEdges));
-        let mut out = Vec::new();
-        with.resolve_round(1, &[tx(5), rx()], &mut out);
-        assert!(matches!(out[1], Reception::Message { .. }));
-        let mut without = SimTransport::new(g, Box::new(NoExtraEdges));
-        without.resolve_round(1, &[tx(5), rx()], &mut out);
-        assert_eq!(out[1], Reception::Silence);
-    }
-
-    #[test]
-    fn sim_transport_sharded_matches_serial() {
-        let mut serial = SimTransport::new(line4(), Box::new(AllExtraEdges));
-        let mut sharded = SimTransport::new(line4(), Box::new(AllExtraEdges)).with_shards(3);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for round in 1..=4 {
-            let actions = [tx(round as u32), rx(), tx(100 + round as u32), rx()];
-            serial.resolve_round(round, &actions, &mut a);
-            sharded.resolve_round(round, &actions, &mut b);
-            assert_eq!(a, b, "round {round}");
-        }
-    }
-
-    #[test]
     fn mock_net_zero_delay_matches_sim_on_reliable_links() {
-        let mut sim = SimTransport::new(line4(), Box::new(NoExtraEdges));
-        let mut mock = MockNetTransport::new(
-            line4(),
+        let g = line4();
+        let mut sim = SimChannel::new(SchedulerBox::Oblivious(Box::new(NoExtraEdges)), 1, 4);
+        let mut mock = TransportChannel::new(MockNetTransport::new(
+            g.clone(),
             MockNetConfig {
                 links: LinkSet::Reliable,
                 ..MockNetConfig::default()
             },
             0xFEED,
-        );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        ));
         for round in 1..=6 {
-            let actions = match round % 3 {
-                0 => [tx(1), rx(), tx(2), rx()],
-                1 => [rx(), tx(3), rx(), rx()],
-                _ => [tx(4), rx(), rx(), tx(5)],
+            let messages = match round % 3 {
+                0 => [Some(1u32), None, Some(2), None],
+                1 => [None, Some(3), None, None],
+                _ => [Some(4), None, None, Some(5)],
             };
-            sim.resolve_round(round, &actions, &mut a);
-            mock.resolve_round(round, &actions, &mut b);
-            // Transmitter entries are unspecified; compare listeners.
-            for u in 0..4 {
-                if matches!(actions[u], Action::Receive) {
-                    assert_eq!(a[u], b[u], "round {round}, u {u}");
+            let transmitting = messages.map(|m| m.is_some());
+            let tx_list: Vec<usize> = (0..4).filter(|&v| transmitting[v]).collect();
+            let round_tx = Transmissions {
+                round,
+                graph: &g,
+                transmitting: &transmitting,
+                tx_list: &tx_list,
+                messages: &messages,
+            };
+            Channel::<u32>::resolve(&mut sim, &round_tx, None);
+            mock.resolve(&round_tx, None);
+            // Transmitter entries are unspecified; compare listeners, and
+            // the message each delivery hands over.
+            for u in (0..4).filter(|&u| !transmitting[u]) {
+                let heard = Channel::<u32>::heard(&sim, u);
+                assert_eq!(heard, mock.heard(u), "round {round}, u {u}");
+                if let Heard::From(from) = heard {
+                    assert_eq!(
+                        sim.deliver(u, from, &messages),
+                        mock.deliver(u, from, &messages),
+                        "round {round}, u {u}"
+                    );
                 }
             }
         }

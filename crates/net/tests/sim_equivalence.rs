@@ -1,25 +1,24 @@
-//! Property: a [`net::Cluster`] over [`net::SimTransport`] is
-//! byte-for-byte the engine — same events, same channel stats — across
-//! random topologies, schedulers, shard counts, and fault plans. This is
-//! the refactor's load-bearing invariant: the transport trait added a
-//! seam, not a behavior.
+//! Property: a zero-delay, lossless, partition-free mock network is the
+//! simulator's channel. Over `LinkSet::All` it is the `AllExtraEdges`
+//! channel (`Gₜ = G'`), over `LinkSet::Reliable` the `NoExtraEdges` one
+//! (`Gₜ = G`): the engine produces the same events and channel stats
+//! through either, across random topologies, fault plans, and shard
+//! counts of the sim side.
 
-use net::{Cluster, ClusterConfig, SimTransport};
+use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport};
 use proptest::prelude::*;
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::fault::FaultPlan;
 use radio_sim::graph::NodeId;
 use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::{
-    AllExtraEdges, BernoulliEdges, LinkScheduler, NoExtraEdges,
-};
+use radio_sim::scheduler::{AllExtraEdges, LinkScheduler, NoExtraEdges};
 use radio_sim::topology::{self, RggParams};
 use radio_sim::trace::RecordingPolicy;
 
 /// Transmits on a seed-and-vertex-dependent schedule, relays the last
 /// heard message — enough state to make any desynchronization between
-/// the two executors cascade into a visible trace difference.
+/// the two channels cascade into a visible trace difference.
 #[derive(Clone)]
 struct Chatter {
     vertex: u32,
@@ -67,22 +66,16 @@ fn chatters(n: usize, period: u64) -> Vec<Chatter> {
         .collect()
 }
 
-fn scheduler_for(kind: u8, p: f64, seed: u64) -> Box<dyn LinkScheduler> {
-    match kind % 3 {
-        0 => Box::new(AllExtraEdges),
-        1 => Box::new(NoExtraEdges),
-        _ => Box::new(BernoulliEdges::new(p, seed)),
-    }
-}
-
 fn fault_plan_for(kind: u8, n: usize, drop_p: f64) -> FaultPlan {
     let plan = FaultPlan::none();
     match kind % 4 {
         0 => plan,
         1 => plan.with_crash(NodeId(n / 2), 2, Some(6)),
-        2 => plan
-            .with_crash(NodeId(n / 3), 3, Some(7))
-            .with_jam(vec![NodeId(0), NodeId(n - 1)], 2, 5),
+        2 => plan.with_crash(NodeId(n / 3), 3, Some(7)).with_jam(
+            vec![NodeId(0), NodeId(n - 1)],
+            2,
+            5,
+        ),
         _ => plan
             .with_jam(vec![NodeId(n / 2)], 4, 8)
             .with_drop_burst(1, 10, drop_p),
@@ -93,12 +86,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sim_cluster_is_byte_identical_to_the_engine(
+    fn synchronous_mock_net_is_the_sim_channel(
         n in 8usize..40,
         topo_seed in 0u64..1000,
         master_seed in 0u64..1000,
-        sched_kind in 0u8..3,
-        sched_p in 0.1f64..0.9,
+        all_links in proptest::bool::ANY,
         fault_kind in 0u8..4,
         drop_p in 0.0f64..1.0,
         shards in 1usize..5,
@@ -113,43 +105,43 @@ proptest! {
             grey_unreliable_p: 0.7,
             seed: topo_seed,
         });
+        let (links, scheduler): (LinkSet, Box<dyn LinkScheduler>) = if all_links {
+            (LinkSet::All, Box::new(AllExtraEdges))
+        } else {
+            (LinkSet::Reliable, Box::new(NoExtraEdges))
+        };
         let faults = fault_plan_for(fault_kind, n, drop_p);
 
-        let config = Configuration::new(
-                topo.graph.clone(),
-                scheduler_for(sched_kind, sched_p, topo_seed),
-            )
+        let config = Configuration::new(topo.graph.clone(), scheduler)
             .with_r(topo.r)
             .with_recording(RecordingPolicy::full())
             .with_faults(faults.clone())
             .with_shards(shards);
-        let mut engine = Engine::new(
-            config,
-            chatters(n, period),
-            Box::new(NullEnvironment),
+        let mut sim = Engine::new(config, chatters(n, period), Box::new(NullEnvironment), master_seed);
+        sim.run(rounds);
+        let reference = sim.into_trace();
+
+        let transport = MockNetTransport::new(
+            topo.graph.clone(),
+            MockNetConfig {
+                links,
+                ..MockNetConfig::default()
+            },
             master_seed,
         );
-        engine.run(rounds);
-        let reference = engine.into_trace();
-
-        let transport = SimTransport::new(
-                topo.graph.clone(),
-                scheduler_for(sched_kind, sched_p, topo_seed),
-            )
-            .with_shards(shards);
         let config = ClusterConfig::new(topo.graph.clone())
             .with_r(topo.r)
             .with_recording(RecordingPolicy::full())
             .with_faults(faults);
-        let mut cluster = Cluster::new(
+        let mut mock = Cluster::new(
             config,
             transport,
             chatters(n, period),
             Box::new(NullEnvironment),
             master_seed,
         );
-        cluster.run(rounds);
-        let trace = cluster.into_trace();
+        mock.run(rounds);
+        let trace = mock.into_trace();
 
         prop_assert_eq!(&reference.events, &trace.events);
         prop_assert_eq!(&reference.round_stats, &trace.round_stats);

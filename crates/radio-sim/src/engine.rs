@@ -12,18 +12,24 @@
 //! listens, `v` transmits `m`, and `v` is the **only** transmitter among
 //! `u`'s neighbors in the round's topology; otherwise `u` gets `⊥`
 //! (no collision detection).
+//!
+//! [`Engine::step`] is the repository's only round loop. The reception
+//! step is delegated to a [`Channel`]: the simulator's [`SimChannel`] by
+//! default, or any other substrate through [`Engine::with_channel`].
 
+use crate::channel::{Channel, Heard, SimChannel, Transmissions};
 use crate::environment::Environment;
 use crate::fault::FaultPlan;
 use crate::graph::{DualGraph, NodeId};
 use crate::process::{Action, Context, ProcId, Process};
 use crate::rng::{derive_stream, StreamKind};
-use crate::scheduler::{LinkScheduler, SchedulerBox};
+use crate::scheduler::{LinkScheduler, NoExtraEdges, SchedulerBox};
 use crate::timeline::GraphTimeline;
 use crate::trace::{Event, EventKind, FaultEvent, RecordingPolicy, Trace};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
+pub use telemetry::EngineMetrics;
 
 /// Everything that resolves model nondeterminism, minus the algorithm's
 /// coins: dual graph, link scheduler, id assignment, geographic parameter.
@@ -34,7 +40,9 @@ pub struct Configuration {
     /// adjacency per trial.
     pub graph: Arc<DualGraph>,
     /// The link scheduler (oblivious, or adaptive for separation
-    /// experiments).
+    /// experiments). Together with `shards` it configures the
+    /// [`SimChannel`]; an engine built [`Engine::with_channel`] leaves
+    /// both unused.
     pub scheduler: SchedulerBox,
     /// Id assignment: `proc_ids[v]` is the process id at vertex `v`.
     /// Must be injective.
@@ -181,18 +189,18 @@ impl Configuration {
     }
 }
 
-/// The synchronous executor for processes of type `P`.
-pub struct Engine<P: Process> {
+/// The synchronous executor for processes of type `P`, resolving
+/// receptions through the channel `C`.
+pub struct Engine<P: Process, C = SimChannel> {
     graph: Arc<DualGraph>,
     /// The epoch schedule `graph` is swapped from, if geometry is
     /// dynamic; `epoch` is the index of the epoch `graph` came from.
     timeline: Option<GraphTimeline>,
     epoch: usize,
-    scheduler: SchedulerBox,
+    channel: C,
     r: f64,
     recording: RecordingPolicy,
     faults: FaultPlan,
-    shards: usize,
     master_seed: u64,
     delta: usize,
     delta_prime: usize,
@@ -221,26 +229,54 @@ pub struct Engine<P: Process> {
     messages: Vec<Option<P::Msg>>,
     /// This round's transmitters, in vertex order.
     tx_list: Vec<usize>,
-    tx_neighbors: Vec<u32>,
-    last_sender: Vec<NodeId>,
     trace: Trace<P::Input, P::Output, P::Msg>,
-    /// Metrics sink, present iff the configuration enabled telemetry.
-    /// Boxed so the disabled engine doesn't carry the 16 KiB histogram;
-    /// all slots are fixed at construction, so recording into it never
-    /// allocates (preserving the zero-alloc steady-state contract).
-    telemetry: Option<Box<telemetry::EngineMetrics>>,
+    /// Metrics sink, present while telemetry is attached (by the
+    /// configuration or [`Engine::set_telemetry`]). Boxed so the
+    /// disabled engine doesn't carry the 16 KiB histogram; all slots are
+    /// fixed when it is attached, so recording into it never allocates
+    /// (preserving the zero-alloc steady-state contract).
+    telemetry: Option<Box<EngineMetrics>>,
 }
 
 impl<P: Process> Engine<P> {
     /// Builds an engine from a configuration, one process per vertex, an
     /// environment, and the master seed from which all per-node random
-    /// streams derive.
+    /// streams derive. Receptions resolve through the simulator's
+    /// channel, built from the configuration's scheduler and shard count.
     ///
     /// # Panics
     ///
     /// Panics if `procs.len()` differs from the graph's vertex count.
     pub fn new(
+        mut config: Configuration,
+        procs: Vec<P>,
+        env: Box<dyn Environment<P::Input, P::Output>>,
+        master_seed: u64,
+    ) -> Self {
+        // The scheduler moves into the channel; `with_channel` never
+        // reads the inert stand-in left behind.
+        let scheduler = std::mem::replace(
+            &mut config.scheduler,
+            SchedulerBox::Oblivious(Box::new(NoExtraEdges)),
+        );
+        let channel = SimChannel::new(scheduler, config.shards, config.graph.len());
+        Engine::with_channel(config, channel, procs, env, master_seed)
+    }
+}
+
+impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
+    /// Builds an engine whose reception step is `channel`; everything
+    /// else (faults, inputs, transmit decisions, classification, outputs,
+    /// the trace and telemetry) is the same round loop as
+    /// [`Engine::new`]. The configuration's `scheduler` and `shards`
+    /// describe the simulator's channel and go unused here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs.len()` differs from the graph's vertex count.
+    pub fn with_channel(
         config: Configuration,
+        channel: C,
         procs: Vec<P>,
         env: Box<dyn Environment<P::Input, P::Output>>,
         master_seed: u64,
@@ -258,18 +294,14 @@ impl<P: Process> Engine<P> {
             None => (config.graph.delta(), config.graph.delta_prime()),
         };
         let trace = Trace::new(n, config.proc_ids.clone());
-        let telemetry = config
-            .telemetry
-            .then(|| Box::new(telemetry::EngineMetrics::new(config.shards.max(1))));
-        Engine {
+        let mut engine = Engine {
             graph: config.graph,
             timeline: config.timeline,
             epoch: 0,
-            scheduler: config.scheduler,
+            channel,
             r: config.r,
             recording: config.recording,
             faults: config.faults,
-            shards: config.shards.max(1),
             master_seed,
             delta,
             delta_prime,
@@ -286,11 +318,11 @@ impl<P: Process> Engine<P> {
             transmitting: vec![false; n],
             messages: (0..n).map(|_| None).collect(),
             tx_list: Vec::with_capacity(n),
-            tx_neighbors: vec![0; n],
-            last_sender: vec![NodeId(0); n],
             trace,
-            telemetry,
-        }
+            telemetry: None,
+        };
+        engine.set_telemetry(config.telemetry);
+        engine
     }
 
     /// The number of completed rounds.
@@ -314,14 +346,26 @@ impl<P: Process> Engine<P> {
     }
 
     /// The telemetry accumulated so far (None when disabled).
-    pub fn telemetry(&self) -> Option<&telemetry::EngineMetrics> {
+    pub fn telemetry(&self) -> Option<&EngineMetrics> {
         self.telemetry.as_deref()
     }
 
     /// Consumes the engine's telemetry sink (None when disabled),
     /// leaving telemetry disabled for any further rounds.
-    pub fn take_telemetry(&mut self) -> Option<telemetry::EngineMetrics> {
+    pub fn take_telemetry(&mut self) -> Option<EngineMetrics> {
         self.telemetry.take().map(|b| *b)
+    }
+
+    /// Attaches a fresh telemetry sink, or detaches the current one.
+    /// Metrics cover the rounds stepped while attached, so attach before
+    /// the first round to observe the whole execution.
+    pub fn set_telemetry(&mut self, enabled: bool) {
+        self.telemetry = enabled.then(|| Box::new(EngineMetrics::new(self.channel.shards())));
+    }
+
+    /// The channel receptions resolve through.
+    pub fn channel(&self) -> &C {
+        &self.channel
     }
 
     /// The dual graph being simulated (the snapshot of the current
@@ -498,34 +542,19 @@ impl<P: Process> Engine<P> {
         }
         let transmit_ns = span.lap();
 
-        // Step 3: the scheduler fixes the round topology; resolve
-        // receptions under the collision rule.
-        let selection = match &mut self.scheduler {
-            SchedulerBox::Oblivious(s) => s.extra_edges(round, &self.graph),
-            SchedulerBox::Adaptive(s) => s.extra_edges(round, &self.graph, &self.transmitting),
-        };
-
-        if self.shards > 1 {
-            let shard_busy = telem.as_deref_mut().map(|t| t.shard_busy_ns.as_mut_slice());
-            crate::resolve::resolve_receptions_sharded(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                self.shards,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-                shard_busy,
-            );
-        } else {
-            crate::resolve::resolve_receptions_serial(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                &self.tx_list,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-            );
-        }
+        // Step 3: the channel resolves this round's transmissions over
+        // the current epoch's graph (for the simulator: the scheduler
+        // fixes the round topology and the collision rule applies).
+        self.channel.resolve(
+            &Transmissions {
+                round,
+                graph: &self.graph,
+                transmitting: &self.transmitting,
+                tx_list: &self.tx_list,
+                messages: &self.messages,
+            },
+            telem.as_deref_mut().map(|t| t.shard_busy_ns.as_mut_slice()),
+        );
         let resolve_ns = span.lap();
 
         // Channel stats feed the trace (under the recording policy)
@@ -559,62 +588,67 @@ impl<P: Process> Engine<P> {
                     s.jammed += 1;
                 }
                 None
-            } else if self.tx_neighbors[u] == 1 {
-                let from = self.last_sender[u];
-                // An otherwise-successful reception may still be lost to
-                // an active drop burst (one coin per burst, in vertex
-                // order, from the dedicated fault stream).
-                let mut suppressed = false;
-                if have_faults {
-                    for burst in self.faults.active_drops(round) {
-                        let rng = fault_rng.get_or_insert_with(|| {
-                            derive_stream(self.master_seed, StreamKind::Fault, round)
-                        });
-                        if rng.gen_bool(burst.p) {
-                            suppressed = true;
+            } else {
+                match self.channel.heard(u) {
+                    Heard::From(from) => {
+                        // An otherwise-successful reception may still be
+                        // lost to an active drop burst (one coin per
+                        // burst, in vertex order, from the dedicated
+                        // fault stream).
+                        let mut suppressed = false;
+                        if have_faults {
+                            for burst in self.faults.active_drops(round) {
+                                let rng = fault_rng.get_or_insert_with(|| {
+                                    derive_stream(self.master_seed, StreamKind::Fault, round)
+                                });
+                                if rng.gen_bool(burst.p) {
+                                    suppressed = true;
+                                }
+                            }
+                        }
+                        if suppressed {
+                            if self.recording.receptions {
+                                self.trace.events.push(Event {
+                                    round,
+                                    node: NodeId(u),
+                                    kind: EventKind::Fault(FaultEvent::Dropped { from }),
+                                });
+                            }
+                            if let Some(s) = stats.as_mut() {
+                                s.dropped += 1;
+                            }
+                            None
+                        } else {
+                            let msg = self.channel.deliver(u, from, &self.messages);
+                            if self.recording.receptions {
+                                self.trace.events.push(Event {
+                                    round,
+                                    node: NodeId(u),
+                                    kind: EventKind::Receive {
+                                        from,
+                                        msg: msg.clone(),
+                                    },
+                                });
+                            }
+                            if let Some(s) = stats.as_mut() {
+                                s.deliveries += 1;
+                            }
+                            Some(msg)
                         }
                     }
-                }
-                if suppressed {
-                    if self.recording.receptions {
-                        self.trace.events.push(Event {
-                            round,
-                            node: NodeId(u),
-                            kind: EventKind::Fault(FaultEvent::Dropped { from }),
-                        });
+                    Heard::Silence => {
+                        if let Some(s) = stats.as_mut() {
+                            s.silent += 1;
+                        }
+                        None
                     }
-                    if let Some(s) = stats.as_mut() {
-                        s.dropped += 1;
-                    }
-                    None
-                } else {
-                    let msg = self.messages[from.0]
-                        .clone()
-                        .expect("sender marked transmitting must carry a message");
-                    if self.recording.receptions {
-                        self.trace.events.push(Event {
-                            round,
-                            node: NodeId(u),
-                            kind: EventKind::Receive {
-                                from,
-                                msg: msg.clone(),
-                            },
-                        });
-                    }
-                    if let Some(s) = stats.as_mut() {
-                        s.deliveries += 1;
-                    }
-                    Some(msg)
-                }
-            } else {
-                if let Some(s) = stats.as_mut() {
-                    if self.tx_neighbors[u] == 0 {
-                        s.silent += 1;
-                    } else {
-                        s.collisions += 1;
+                    Heard::Collision => {
+                        if let Some(s) = stats.as_mut() {
+                            s.collisions += 1;
+                        }
+                        None
                     }
                 }
-                None
             };
             let ctx = &mut Context {
                 round,
@@ -665,7 +699,7 @@ impl<P: Process> Engine<P> {
 
         if let Some(t) = telem.as_deref_mut() {
             let outputs_ns = span.lap();
-            if self.shards <= 1 {
+            if self.channel.shards() <= 1 {
                 // The serial resolver is "shard 0"; sharded resolution
                 // timed its chunks inside the workers.
                 t.shard_busy_ns[0] += resolve_ns;
@@ -702,12 +736,12 @@ impl<P: Process> Engine<P> {
     }
 }
 
-impl<P: Process> std::fmt::Debug for Engine<P> {
+impl<P: Process, C: Channel<P::Msg>> std::fmt::Debug for Engine<P, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("n", &self.graph.len())
             .field("round", &self.round)
-            .field("scheduler", &self.scheduler)
+            .field("channel", &self.channel.name())
             .finish_non_exhaustive()
     }
 }
@@ -716,7 +750,7 @@ impl<P: Process> std::fmt::Debug for Engine<P> {
 mod tests {
     use super::*;
     use crate::environment::NullEnvironment;
-    use crate::scheduler::{AllExtraEdges, NoExtraEdges};
+    use crate::scheduler::AllExtraEdges;
 
     /// A test process: transmits its fixed message on configured rounds,
     /// listens otherwise, and outputs every message it hears.
@@ -1391,6 +1425,27 @@ mod tests {
             assert!(telem.busy_ns() > 0);
             assert_eq!(telem.shard_busy_ns.len(), shards);
         }
+    }
+
+    #[test]
+    fn telemetry_attached_mid_run_counts_the_rounds_after() {
+        let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
+        let procs = vec![Beacon::new(1, vec![1, 2, 3, 4]), Beacon::new(2, vec![])];
+        let mut engine = Engine::new(
+            Configuration::new(g, Box::new(NoExtraEdges)),
+            procs,
+            Box::new(NullEnvironment),
+            1,
+        );
+        engine.run(2);
+        assert!(engine.telemetry().is_none());
+        engine.set_telemetry(true);
+        engine.run(3);
+        let telem = engine.take_telemetry().expect("attached");
+        assert_eq!(telem.rounds, 3);
+        assert_eq!(telem.transmissions, 2, "rounds 3 and 4");
+        assert_eq!(telem.deliveries, 2);
+        assert!(engine.telemetry().is_none(), "taking detaches");
     }
 
     #[test]

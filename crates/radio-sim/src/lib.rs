@@ -32,10 +32,15 @@
 //!   automata that model wireless devices.
 //! * [`environment`] — deterministic environments that feed inputs and
 //!   consume outputs, per the round structure of Section 2.
-//! * [`engine`] — the synchronous round loop and collision resolution.
+//! * [`engine`] — the synchronous round loop, the only one in the
+//!   repository, generic over its channel.
+//! * [`channel`] — the [`Channel`](channel::Channel) trait the engine
+//!   resolves receptions through (an index-level reply: silence, a
+//!   collision, or the one sender), and the simulator's
+//!   [`SimChannel`](channel::SimChannel). The `net` crate's mock network
+//!   plugs in as another channel.
 //! * [`resolve`] — the collision rule as free functions (serial scatter
-//!   and sharded gather), shared by the engine and the `net` crate's
-//!   `SimTransport` so both substrates resolve receptions identically.
+//!   and sharded gather) behind the sim channel.
 //! * [`timeline`] — epoch-based dynamic geometry: the
 //!   [`GraphTimeline`](timeline::GraphTimeline) schedule of dual-graph
 //!   snapshots that mobility and moving jammers run on; a single-epoch
@@ -72,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod channel;
 pub mod engine;
 pub mod environment;
 pub mod fault;

@@ -9,11 +9,9 @@
 //! `tx_neighbors[u] == 1` — the Section 2 rule with no collision
 //! detection.
 //!
-//! [`Engine::step`](crate::engine::Engine::step) calls these directly,
-//! and transport implementations (the `net` crate's `SimTransport`)
-//! wrap the *same* functions behind a trait, so an execution routed
-//! through the transport abstraction is byte-identical to the engine's
-//! by construction.
+//! The simulator's channel ([`SimChannel`](crate::channel::SimChannel))
+//! calls these once per round; they stay free functions so a round's
+//! resolution can be timed or checked in isolation.
 //!
 //! `last_sender` needs no reset between rounds: it is only read where
 //! `tx_neighbors` is nonzero, which implies a write in the same call.

@@ -34,8 +34,8 @@ pub struct ScenarioTelemetry {
     pub ack_latency_rounds: Histogram,
     /// Watched-delivery round across trials that observed one.
     pub delivery_latency_rounds: Histogram,
-    /// Engine metrics merged over all trials; `None` when the workload
-    /// hides the engine behind an adapter (the MAC flood).
+    /// Engine metrics merged over all trials; `None` when no trial
+    /// reported any.
     pub engine: Option<EngineMetrics>,
 }
 

@@ -23,7 +23,8 @@ use local_broadcast::config::LbConfig;
 use local_broadcast::msg::{LbInput, LbOutput, Payload};
 use local_broadcast::service::QueueWorkload;
 use local_broadcast::spec as lb_spec;
-use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow, TransportChannel};
+use radio_sim::channel::Channel;
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::{Environment, NullEnvironment, ScriptedEnvironment};
 use radio_sim::fault::FaultPlan;
@@ -70,51 +71,14 @@ type TrialCapture = (
     Option<telemetry::EngineMetrics>,
 );
 
-/// One trial's executor: the lockstep engine, or a cluster of node
-/// runtimes over the mock network, per the scenario's
-/// [`TransportSpec`]. Both expose the same drive/trace surface, so the
-/// workload runners are substrate-agnostic.
-enum Exec<P: Process> {
-    Sim(Box<Engine<P>>),
-    MockNet(Box<Cluster<P, MockNetTransport<P::Msg>>>),
-}
-
-impl<P: Process> Exec<P> {
-    fn run(&mut self, rounds: u64) {
-        match self {
-            Exec::Sim(e) => e.run(rounds),
-            Exec::MockNet(c) => c.run(rounds),
-        }
-    }
-
-    fn run_until(
-        &mut self,
-        max_rounds: u64,
-        pred: impl FnMut(&Trace<P::Input, P::Output, P::Msg>) -> bool,
-    ) -> bool {
-        match self {
-            Exec::Sim(e) => e.run_until(max_rounds, pred),
-            Exec::MockNet(c) => c.run_until(max_rounds, pred),
-        }
-    }
-
-    fn trace(&self) -> &Trace<P::Input, P::Output, P::Msg> {
-        match self {
-            Exec::Sim(e) => e.trace(),
-            Exec::MockNet(c) => c.trace(),
-        }
-    }
-
-    /// Engine metrics, when the substrate exposes them (the cluster has
-    /// no engine inside, so mock-net trials report `None`, like the MAC
-    /// adapter path).
-    fn take_telemetry(&mut self) -> Option<telemetry::EngineMetrics> {
-        match self {
-            Exec::Sim(e) => e.take_telemetry(),
-            Exec::MockNet(_) => None,
-        }
-    }
-}
+/// What driving one trial's engine to its stop condition left behind:
+/// the trace, whether the stop goal was met, and the engine metrics
+/// when telemetry was requested.
+type Execution<P> = (
+    Trace<<P as Process>::Input, <P as Process>::Output, <P as Process>::Msg>,
+    bool,
+    Option<telemetry::EngineMetrics>,
+);
 
 /// What one trial measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -601,10 +565,10 @@ impl ScenarioRunner {
     }
 
     /// Runs trial `trial` with engine telemetry attached, returning the
-    /// outcome plus the engine's metrics. The outcome is identical to
+    /// outcome plus the engine's metrics (present for every workload and
+    /// transport). The outcome is identical to
     /// [`ScenarioRunner::run_trial`] — telemetry observes, it never
-    /// feeds back. The metrics are `None` for workloads that wrap the
-    /// engine behind an adapter that hides it (the MAC flood).
+    /// feeds back.
     pub fn run_trial_instrumented(
         &self,
         trial: usize,
@@ -644,24 +608,27 @@ impl ScenarioRunner {
             .with_telemetry(probe.telemetry)
     }
 
-    /// Builds the trial executor the scenario's transport calls for:
-    /// the engine, or a mock-net cluster whose static link set comes
-    /// from the adversary (`AllExtraEdges` → all of `G'`,
-    /// `NoExtraEdges` → `G`; validation rejects everything else).
-    fn executor<P: Process>(
+    /// Runs one trial on the engine, over the channel the scenario's
+    /// transport calls for — the simulator's, or the mock network's,
+    /// whose static link set comes from the adversary (`AllExtraEdges` →
+    /// all of `G'`, `NoExtraEdges` → `G`; validation rejects everything
+    /// else) — to the stop condition (see [`ScenarioRunner::drive`]).
+    fn execute<P: Process>(
         &self,
         procs: Vec<P>,
         env: Box<dyn Environment<P::Input, P::Output>>,
         master_seed: u64,
         probe: Probe,
-    ) -> Exec<P> {
+        horizon: u64,
+        is_delivery: impl Fn(&P::Output) -> bool,
+    ) -> Execution<P> {
+        let config = self.configuration(master_seed, probe);
         match &self.scenario.transport {
-            TransportSpec::Sim => Exec::Sim(Box::new(Engine::new(
-                self.configuration(master_seed, probe),
-                procs,
-                env,
-                master_seed,
-            ))),
+            TransportSpec::Sim => self.drive(
+                Engine::new(config, procs, env, master_seed),
+                horizon,
+                is_delivery,
+            ),
             TransportSpec::MockNet {
                 delay_rounds,
                 loss_p,
@@ -686,17 +653,17 @@ impl ScenarioRunner {
                 };
                 let transport =
                     MockNetTransport::new(Arc::clone(&self.graph), net_config, master_seed);
-                let config = ClusterConfig::new(Arc::clone(&self.graph))
-                    .with_r(self.topo.r)
-                    .with_recording(Self::recording_for(probe.trace))
-                    .with_faults(self.faults.clone());
-                Exec::MockNet(Box::new(Cluster::new(
-                    config,
-                    transport,
-                    procs,
-                    env,
-                    master_seed,
-                )))
+                self.drive(
+                    Engine::with_channel(
+                        config,
+                        TransportChannel::new(transport),
+                        procs,
+                        env,
+                        master_seed,
+                    ),
+                    horizon,
+                    is_delivery,
+                )
             }
         }
     }
@@ -780,17 +747,21 @@ impl ScenarioRunner {
         let horizon = self.horizon(cfg.phase_len(), cfg.total_rounds(delta));
         let n = self.graph.len();
         let procs: Vec<SeedProcess> = (0..n).map(|_| SeedProcess::new(cfg.clone())).collect();
-        let mut exec = self.executor(procs, Box::new(NullEnvironment), master_seed, probe);
-        let stop_satisfied = self.drive(&mut exec, horizon, |_decide| true);
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
-        let spec_ok = seed_spec::check_well_formedness(trace).is_ok()
-            && seed_spec::check_consistency(trace).is_ok()
-            && seed_spec::check_owner_seed_fidelity(trace).is_ok();
-        let max_owners = seed_spec::owners_per_neighborhood(trace, &self.graph)
+        let (trace, stop_satisfied, metrics) = self.execute(
+            procs,
+            Box::new(NullEnvironment),
+            master_seed,
+            probe,
+            horizon,
+            |_decide| true,
+        );
+        let spec_ok = seed_spec::check_well_formedness(&trace).is_ok()
+            && seed_spec::check_consistency(&trace).is_ok()
+            && seed_spec::check_owner_seed_fidelity(&trace).is_ok();
+        let max_owners = seed_spec::owners_per_neighborhood(&trace, &self.graph)
             .ok()
             .and_then(|per| per.into_iter().max());
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |_| true);
+        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |_| true);
         let outcome = TrialOutcome {
             master_seed,
             rounds: trace.rounds,
@@ -798,7 +769,7 @@ impl ScenarioRunner {
             recvs: trace.outputs().count(),
             totals: trace.total_stats(),
             first_ack: None,
-            first_delivery: self.watched_delivery(trace, |_| true),
+            first_delivery: self.watched_delivery(&trace, |_| true),
             stop_satisfied,
             max_owners,
             spec_ok,
@@ -807,7 +778,7 @@ impl ScenarioRunner {
         };
         let json = probe
             .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
+            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
         (outcome, json, metrics)
     }
 
@@ -835,14 +806,17 @@ impl ScenarioRunner {
         }
         let env = QueueWorkload::new(queues, 1);
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let mut exec = self.executor(procs, Box::new(env), master_seed, probe);
-        let stop_satisfied =
-            self.drive(&mut exec, horizon, |o: &LbOutput| !o.is_ack());
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
-        let spec_ok = lb_spec::check_timely_ack(trace, params.t_ack_rounds()).is_ok()
-            && lb_spec::check_validity(trace, &self.graph).is_ok();
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
+        let (trace, stop_satisfied, metrics) = self.execute(
+            procs,
+            Box::new(env),
+            master_seed,
+            probe,
+            horizon,
+            |o: &LbOutput| !o.is_ack(),
+        );
+        let spec_ok = lb_spec::check_timely_ack(&trace, params.t_ack_rounds()).is_ok()
+            && lb_spec::check_validity(&trace, &self.graph).is_ok();
+        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |o: &LbOutput| !o.is_ack());
         let outcome = TrialOutcome {
             master_seed,
             rounds: trace.rounds,
@@ -853,7 +827,7 @@ impl ScenarioRunner {
                 .outputs()
                 .find(|(_, _, o)| o.is_ack())
                 .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(trace, |o: &LbOutput| !o.is_ack()),
+            first_delivery: self.watched_delivery(&trace, |o: &LbOutput| !o.is_ack()),
             stop_satisfied,
             max_owners: None,
             spec_ok,
@@ -862,7 +836,7 @@ impl ScenarioRunner {
         };
         let json = probe
             .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
+            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
         (outcome, json, metrics)
     }
 
@@ -886,13 +860,15 @@ impl ScenarioRunner {
             .iter()
             .map(|&v| (1, NodeId(v), LbInput::Bcast(Payload::new(v as u64, 0))))
             .collect();
-        let mut exec =
-            self.executor(procs, Box::new(ScriptedEnvironment::new(script)), master_seed, probe);
-        let stop_satisfied =
-            self.drive(&mut exec, horizon, |o: &LbOutput| !o.is_ack());
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
+        let (trace, stop_satisfied, metrics) = self.execute(
+            procs,
+            Box::new(ScriptedEnvironment::new(script)),
+            master_seed,
+            probe,
+            horizon,
+            |o: &LbOutput| !o.is_ack(),
+        );
+        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |o: &LbOutput| !o.is_ack());
         let outcome = TrialOutcome {
             master_seed,
             rounds: trace.rounds,
@@ -903,7 +879,7 @@ impl ScenarioRunner {
                 .outputs()
                 .find(|(_, _, o)| o.is_ack())
                 .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(trace, |o: &LbOutput| !o.is_ack()),
+            first_delivery: self.watched_delivery(&trace, |o: &LbOutput| !o.is_ack()),
             stop_satisfied,
             max_owners: None,
             jammed_recvs,
@@ -912,7 +888,7 @@ impl ScenarioRunner {
         };
         let json = probe
             .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
+            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
         (outcome, json, metrics)
     }
 
@@ -930,6 +906,7 @@ impl ScenarioRunner {
             .build_oblivious(master_seed)
             .expect("validation rejects adaptive adversaries for amac flood");
         let mut mac = amac::adapter::LbMac::new(&self.topo, sched, cfg, master_seed);
+        mac.set_telemetry(probe.telemetry);
         let f_ack = mac.params().t_ack_rounds();
         let n = self.graph.len();
         let horizon = self.horizon(f_ack, f_ack.saturating_mul(n as u64 + 4).saturating_mul(2));
@@ -960,28 +937,26 @@ impl ScenarioRunner {
         let json = probe
             .trace
             .then(|| serde_json::to_string(trace).expect("trace serializes"));
-        // The MAC adapter owns the engine; its metrics are not exposed.
-        (outcome, json, None)
+        (outcome, json, mac.take_telemetry())
     }
 
-    /// Runs the executor to the stop condition: plain budgets run
+    /// Runs the engine to the stop condition: plain budgets run
     /// `horizon` rounds; `FirstDeliveryAt` stops early when an
     /// `is_delivery`-filtered output appears at the watched node.
-    /// Returns whether the stop goal was met.
-    fn drive<P: Process>(
+    fn drive<P: Process, C: Channel<P::Msg>>(
         &self,
-        exec: &mut Exec<P>,
+        mut engine: Engine<P, C>,
         horizon: u64,
         is_delivery: impl Fn(&P::Output) -> bool,
-    ) -> bool {
-        match self.scenario.stop {
+    ) -> Execution<P> {
+        let stop_satisfied = match self.scenario.stop {
             StopSpec::FirstDeliveryAt { node, .. } => {
                 let watch = NodeId(node);
                 // Under full recording the event list grows every round;
                 // only scan events appended since the last check so the
                 // run stays linear in the trace size.
                 let mut seen = 0usize;
-                exec.run_until(horizon, move |t| {
+                engine.run_until(horizon, move |t| {
                     let hit = t.events[seen..].iter().any(|e| {
                         e.node == watch
                             && matches!(&e.kind, EventKind::Output(o) if is_delivery(o))
@@ -991,10 +966,12 @@ impl ScenarioRunner {
                 })
             }
             _ => {
-                exec.run(horizon);
+                engine.run(horizon);
                 true
             }
-        }
+        };
+        let metrics = engine.take_telemetry();
+        (engine.into_trace(), stop_satisfied, metrics)
     }
 
     /// Delivery outputs split by whether the output's node sits inside
@@ -1322,28 +1299,53 @@ mod tests {
         assert!(m.busy_ns() > 0);
     }
 
+    /// The engine metrics of an instrumented trial describe the same
+    /// execution as its outcome: every channel counter equals the trace
+    /// total it mirrors.
+    fn assert_metrics_match_totals(
+        outcome: &TrialOutcome,
+        metrics: Option<telemetry::EngineMetrics>,
+    ) {
+        let m = metrics.expect("every substrate exposes engine metrics");
+        let t = &outcome.totals;
+        assert_eq!(m.rounds, outcome.rounds);
+        assert_eq!(m.round_ns.count(), m.rounds);
+        assert_eq!(m.transmissions, t.transmitters as u64);
+        assert_eq!(m.deliveries, t.deliveries as u64);
+        assert_eq!(m.collisions, t.collisions as u64);
+        assert_eq!(m.silent, t.silent as u64);
+        assert_eq!(m.jammed, t.jammed as u64);
+        assert_eq!(m.dropped, t.dropped as u64);
+        assert_eq!(m.down_node_rounds, t.down as u64);
+        assert!(t.transmitters > 0, "the trial did real work");
+    }
+
     #[test]
-    fn amac_instrumented_trial_reports_no_engine_metrics() {
-        let s = ScenarioBuilder::new(
-            "flood",
-            TopologySpec::Line {
-                n: 3,
-                spacing: 0.9,
-                r: 1.0,
-            },
-            WorkloadSpec::AmacFlood {
-                epsilon1: 0.25,
-                sources: vec![0],
-            },
-        )
-        .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-        .trials(1)
-        .build()
-        .unwrap();
-        let runner = ScenarioRunner::new(s).unwrap();
+    fn amac_instrumented_trial_reports_engine_metrics() {
+        let runner = ScenarioRunner::new(crate::registry::find("e11").unwrap()).unwrap();
         let (outcome, metrics) = runner.run_trial_instrumented(0);
-        assert!(metrics.is_none(), "the MAC adapter hides the engine");
-        assert_eq!(outcome.rounds, runner.run_trial(0).rounds);
+        assert_eq!(outcome, runner.run_trial(0));
+        assert_metrics_match_totals(&outcome, metrics);
+    }
+
+    #[test]
+    fn mock_net_instrumented_trial_reports_engine_metrics() {
+        let runner = ScenarioRunner::new(
+            small_lb("mock-probe")
+                .drop_burst(5, 20, 0.25)
+                .transport(TransportSpec::MockNet {
+                    delay_rounds: 1,
+                    loss_p: 0.1,
+                    partitions: vec![],
+                })
+                .stop(StopSpec::Rounds { rounds: 60 })
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let (outcome, metrics) = runner.run_trial_instrumented(0);
+        assert_eq!(outcome, runner.run_trial(0));
+        assert_metrics_match_totals(&outcome, metrics);
     }
 
     #[test]

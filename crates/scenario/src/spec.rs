@@ -1114,8 +1114,8 @@ pub struct PartitionSpec {
 ///
 /// `Sim` (the default — absent in older scenario files) is the lockstep
 /// engine; every golden metric and replay trace is pinned against it.
-/// `MockNet` runs the same processes as a cluster of node runtimes over
-/// the `net` crate's deterministic mock network instead: the adversary
+/// `MockNet` runs the same processes on the same engine with the `net`
+/// crate's deterministic mock network as its channel instead: the adversary
 /// selects the static link set (`AllExtraEdges` → all of `G'`,
 /// `NoExtraEdges` → `G` only; nothing else is expressible over a static
 /// network, so other adversaries are rejected), and the transport adds

@@ -11,20 +11,10 @@
 //! * A **moving** jam resolves to genuinely different node sets across
 //!   epochs, and mobility trials replay byte-identically regardless of
 //!   shard count.
-//! * A [`net::Cluster`] over [`net::SimTransport`] stays byte-for-byte
-//!   the engine across epoch boundaries of a multi-epoch mobility
-//!   scenario's compiled timeline and fault plan.
 
-use net::{Cluster, ClusterConfig, SimTransport};
 use proptest::prelude::*;
-use radio_sim::engine::{Configuration, Engine};
-use radio_sim::environment::NullEnvironment;
-use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::BernoulliEdges;
-use radio_sim::trace::RecordingPolicy;
 use scenario::prelude::*;
 use scenario::spec::{TopologySpec, WorkloadSpec};
-use std::sync::Arc;
 
 /// A 24-node arena scenario with one of everything the fault machinery
 /// injects: a disc jam, a crash with recovery, and a drop burst.
@@ -138,92 +128,6 @@ fn mobility_trials_replay_byte_identical_and_shard_independent() {
     assert_eq!(ta, b.trial_trace_json(0), "fresh runner replay drifted");
     assert_eq!(ta, sharded.trial_trace_json(0), "shard count changed the bytes");
     assert_eq!(a.run_trial(0), sharded.run_trial(0));
-}
-
-/// Transmits on a vertex-dependent schedule and relays the last heard
-/// message — any desynchronization between the two executors cascades
-/// into a visible trace difference.
-#[derive(Clone)]
-struct Chatter {
-    vertex: u32,
-    last_heard: Option<u32>,
-}
-
-impl Process for Chatter {
-    type Msg = u32;
-    type Input = ();
-    type Output = u32;
-
-    fn on_input(&mut self, _input: (), _ctx: &mut Context<'_>) {}
-
-    fn transmit(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
-        use rand::Rng;
-        let coin = ctx.rng.gen_bool(0.5);
-        if ctx.round % 3 == u64::from(self.vertex) % 3 && coin {
-            Action::Transmit(self.vertex * 1000 + (ctx.round as u32 % 1000))
-        } else {
-            Action::Receive
-        }
-    }
-
-    fn on_receive(&mut self, msg: Option<u32>, _ctx: &mut Context<'_>) {
-        if msg.is_some() {
-            self.last_heard = msg;
-        }
-    }
-
-    fn take_outputs(&mut self) -> Vec<u32> {
-        self.last_heard.take().into_iter().collect()
-    }
-}
-
-#[test]
-fn engine_and_sim_cluster_agree_across_epoch_boundaries() {
-    // The registry mobility scenario's *compiled* timeline and per-epoch
-    // fault plan, driven far enough to cross two epoch boundaries.
-    let s = registry::find("mobility").unwrap();
-    let runner = ScenarioRunner::new(s).unwrap();
-    let timeline = runner.timeline().unwrap().clone();
-    assert!(timeline.num_epochs() > 2);
-    let faults = runner.fault_plan().clone();
-    let graph = Arc::clone(timeline.epoch_graph(0));
-    let r = runner.topology().r;
-    let n = graph.len();
-    let procs = || -> Vec<Chatter> {
-        (0..n)
-            .map(|v| Chatter {
-                vertex: v as u32,
-                last_heard: None,
-            })
-            .collect()
-    };
-    let rounds = timeline.epoch_start(2) + 20;
-
-    let config = Configuration::new(Arc::clone(&graph), Box::new(BernoulliEdges::new(0.5, 7)))
-        .with_r(r)
-        .with_recording(RecordingPolicy::full())
-        .with_faults(faults.clone())
-        .with_shards(2)
-        .with_timeline(timeline.clone());
-    let mut engine = Engine::new(config, procs(), Box::new(NullEnvironment), 99);
-    engine.run(rounds);
-    let reference = engine.into_trace();
-
-    let transport = SimTransport::new(Arc::clone(&graph), Box::new(BernoulliEdges::new(0.5, 7)))
-        .with_shards(2)
-        .with_timeline(timeline.clone());
-    let config = ClusterConfig::new(Arc::clone(&graph))
-        .with_r(r)
-        .with_recording(RecordingPolicy::full())
-        .with_faults(faults)
-        .with_timeline(timeline);
-    let mut cluster = Cluster::new(config, transport, procs(), Box::new(NullEnvironment), 99);
-    cluster.run(rounds);
-    let trace = cluster.into_trace();
-
-    assert_eq!(reference.rounds, trace.rounds);
-    assert_eq!(reference.events, trace.events);
-    assert_eq!(reference.round_stats, trace.round_stats);
 }
 
 proptest! {

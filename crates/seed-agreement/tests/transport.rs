@@ -1,45 +1,12 @@
-//! `SeedAlg` over both substrates: the unmodified `SeedProcess` runs as
-//! a cluster of node runtimes over the `net` crate's transports, and the
-//! deterministic `Seed(δ, ε)` conditions hold on the resulting traces.
+//! `SeedAlg` off the simulator: the unmodified `SeedProcess` runs on the
+//! engine over the `net` crate's mock network, and the deterministic
+//! `Seed(δ, ε)` conditions hold on the resulting traces.
 
-use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport, SimTransport};
-use radio_sim::engine::Engine;
+use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport};
 use radio_sim::environment::NullEnvironment;
-use radio_sim::scheduler::AllExtraEdges;
 use radio_sim::topology;
 use radio_sim::trace::RecordingPolicy;
 use seed_agreement::{spec, SeedConfig, SeedProcess};
-
-/// The sim transport reproduces the engine exactly for seed agreement —
-/// the refactor did not move a single coin flip.
-#[test]
-fn seed_over_the_sim_transport_is_the_engine() {
-    let topo = topology::clique(5, 1.0);
-    let cfg = SeedConfig::practical(0.125, 64);
-    let total = cfg.total_rounds(topo.graph.delta());
-    let seed = 11;
-
-    let procs: Vec<SeedProcess> = (0..5).map(|_| SeedProcess::new(cfg.clone())).collect();
-    let config = topo
-        .configuration(Box::new(AllExtraEdges))
-        .with_recording(RecordingPolicy::full());
-    let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), seed);
-    engine.run(total);
-    let reference = engine.into_trace();
-
-    let procs: Vec<SeedProcess> = (0..5).map(|_| SeedProcess::new(cfg.clone())).collect();
-    let transport = SimTransport::new(topo.graph.clone(), Box::new(AllExtraEdges));
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
-        .with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), seed);
-    cluster.run(total);
-    let trace = cluster.into_trace();
-
-    assert_eq!(reference.events, trace.events);
-    assert_eq!(reference.round_stats, trace.round_stats);
-    assert_eq!(reference.rounds, trace.rounds);
-}
 
 /// Seed agreement's safety conditions are channel-independent: even over
 /// a delayed, lossy mock network the execution stays well-formed and

@@ -1,7 +1,7 @@
 //! Transport demo: the local broadcast service running entirely off the
-//! simulator — a cluster of `LbProcess` node runtimes exchanging a
-//! broadcast over the deterministic mock network, with a partition
-//! window injected mid-run.
+//! simulator — `LbProcess` nodes on the engine exchanging a broadcast
+//! over the deterministic mock network, with a partition window injected
+//! mid-run.
 //!
 //! ```text
 //! cargo run --example transport_demo
