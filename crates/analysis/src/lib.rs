@@ -2,7 +2,7 @@
 //!
 //! The paper proves its guarantees; it prints no tables or figures. The
 //! reproduction therefore defines one **experiment per quantitative
-//! claim** (see DESIGN.md §4 and EXPERIMENTS.md) and measures each by
+//! claim** (the table in [`experiments`]) and measures each by
 //! Monte-Carlo estimation over seeded, deterministic trials.
 //!
 //! * [`stats`] — summaries, proportion confidence intervals, and the
@@ -11,8 +11,8 @@
 //! * [`table`] — experiment output as aligned text / markdown / CSV.
 //! * [`report`] — combined markdown reports and the tolerance-aware
 //!   comparison behind golden-metric regression gates.
-//! * [`experiments`] — the E1–E12 suite, each returning [`table::Table`]s
-//!   that the `bench` crate's binaries print and EXPERIMENTS.md records.
+//! * [`experiments`] — the E1–E13 suite, each returning [`table::Table`]s
+//!   that the `bench` crate's `experiments` binary prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Combined markdown reports and tolerance-aware metric comparison.
 //!
 //! A campaign aggregates many experiments' [`Table`]s into a single
-//! markdown document (the EXPERIMENTS.md analog for scenario runs), and
+//! markdown document, and
 //! a regression gate compares freshly measured means against checked-in
 //! golden values with a symmetric absolute tolerance. Both live here so
 //! every producer of tables — the hard-coded experiment suite and the

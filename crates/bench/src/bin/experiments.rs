@@ -8,9 +8,8 @@
 //! ```
 //!
 //! With no experiment ids, runs the whole suite. `--full` uses the large
-//! sweeps recorded in EXPERIMENTS.md (minutes); the default quick scale
-//! finishes in seconds. `--markdown PATH` additionally writes the tables
-//! as markdown (used to refresh EXPERIMENTS.md).
+//! sweeps (minutes); the default quick scale finishes in seconds.
+//! `--markdown PATH` additionally writes the tables as markdown.
 
 use analysis::experiments::{all, Scale};
 use std::io::Write;
@@ -25,7 +24,7 @@ fn run() -> Result<(), String> {
         .and_then(|i| args.get(i + 1))
         .cloned();
     // Experiment ids are positional; skip flags and their values so a
-    // path like `--markdown EXPERIMENTS.md` is never read as an id.
+    // path like `--markdown E-tables.md` is never read as an id.
     let mut wanted: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {

@@ -4,10 +4,9 @@
 //! perf [--out PATH]      # measure; write BENCH.json (default ./BENCH.json)
 //! perf --quick [...]     # tiny budget (CI smoke; numbers are noisy)
 //! perf --check PATH      # validate an existing BENCH.json; exit 1 if invalid
-//! perf --compare OLD [--threshold F]
-//!                        # measure, then compare against the baseline OLD;
-//!                        # exit 1 if any case drops below F x baseline
-//!                        # (default 0.5 — perf numbers are noisy)
+//! perf --compare OLD     # measure, then compare against the baseline OLD;
+//!                        # exit 1 if any case's median is worse than the
+//!                        # baseline's by more than the baseline's IQR
 //! ```
 //!
 //! The measurement suite and the `BENCH.json` schema live in
@@ -17,7 +16,7 @@
 use std::process::ExitCode;
 
 fn usage() -> String {
-    "usage: perf [--out PATH] [--quick] [--compare OLD.json [--threshold F]]\n       \
+    "usage: perf [--out PATH] [--quick] [--compare OLD.json]\n       \
      perf --check PATH"
         .to_string()
 }
@@ -53,7 +52,6 @@ fn run() -> Result<ExitCode, String> {
     let mut out = "BENCH.json".to_string();
     let mut quick = false;
     let mut baseline: Option<String> = None;
-    let mut threshold = 0.5f64;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -76,20 +74,6 @@ fn run() -> Result<ExitCode, String> {
                 );
                 i += 2;
             }
-            "--threshold" => {
-                let raw = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--threshold needs a factor\n{}", usage()))?;
-                threshold = raw
-                    .parse()
-                    .map_err(|e| format!("--threshold {raw:?}: {e}"))?;
-                if !(threshold > 0.0 && threshold <= 1.0) {
-                    return Err(format!(
-                        "--threshold must be in (0, 1], got {threshold}"
-                    ));
-                }
-                i += 2;
-            }
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
@@ -106,7 +90,8 @@ fn run() -> Result<ExitCode, String> {
     };
 
     eprintln!(
-        "== perf: measuring engine + campaign throughput ({}) ==",
+        "== perf: {} samples per case ({}) ==",
+        bench::perf::SAMPLES,
         if quick { "quick budget" } else { "full budget" }
     );
     let report = bench::perf::run(quick);
@@ -115,7 +100,7 @@ fn run() -> Result<ExitCode, String> {
     std::fs::write(&out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("wrote {out}");
     if let Some((path, old)) = baseline {
-        let cmp = bench::perf::compare(&old, &report, threshold);
+        let cmp = bench::perf::compare(&old, &report);
         eprintln!("== perf: comparing against baseline {path} ==");
         print!("{}", cmp.summary());
         if !cmp.regressions().is_empty() {

@@ -1,8 +1,9 @@
 //! Run a declarative scenario — a registry name or a JSON file — and
 //! print experiment-style stats tables; run a whole **campaign** with
 //! the golden-metric regression gate; expand and run a parameter
-//! **sweep** family into curve tables; or hunt worst-case adversaries
-//! with the budgeted **search** engine (see `docs/search.md`).
+//! **sweep** family into curve tables; hunt worst-case adversaries
+//! with the budgeted **search** engine (see `docs/search.md`); or
+//! **audit** a saved LBAlg trace against the `LB` specification.
 //!
 //! ```text
 //! scenario --list
@@ -40,6 +41,9 @@
 //!          [--threads N]         # worker pool size (archive is identical for all)
 //! scenario validate <file.json ...>  # field-level errors; exit 1 if any invalid
 //! scenario journal <PATH>        # validate a telemetry journal; exit 1 if invalid
+//! scenario audit <name | file.json> <trace.json>
+//!                                # re-check a --save-trace file against the LB
+//!                                # conditions; exit 1 on a violation
 //! ```
 //!
 //! Every run prints a live heartbeat to stderr (scenarios done,
@@ -68,12 +72,20 @@
 //! cargo run --release -p bench --bin scenario -- sweep loss-grid --check
 //! cargo run --release -p bench --bin scenario -- search lb-worst --top 3
 //! cargo run --release -p bench --bin scenario -- validate scenarios/found/*.json
+//! cargo run --release -p bench --bin scenario -- e5 --save-trace /tmp/e5.json
+//! cargo run --release -p bench --bin scenario -- audit e5 /tmp/e5.json
 //! ```
 
+use local_broadcast::config::LbConfig;
+use local_broadcast::{spec, LbTrace};
+use radio_sim::graph::NodeId;
+use radio_sim::trace::EventKind;
 use scenario::search::{self, found_scenario, run_search, Objective, SearchSpec, StrategySpec};
+use scenario::spec::MAX_STOP_ROUNDS;
 use scenario::sweep::{self, SweepReport, SweepSpec};
 use scenario::{
     registry, Campaign, GoldenMetrics, RunTelemetry, Scenario, ScenarioRunner, TransportSpec,
+    WorkloadSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,7 +107,8 @@ fn usage() -> String {
      [--objective mean-ack|p99-ack|spec-violations] [--strategy random|evolve] \
      [--trials N] [--out DIR] [--top K] [--archive PATH] [--threads N]\n       \
      scenario validate <file.json ...>\n       \
-     scenario journal <PATH>"
+     scenario journal <PATH>\n       \
+     scenario audit <name | file.json> <trace.json>"
         .to_string()
 }
 
@@ -804,6 +817,113 @@ fn run_journal(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Audit mode
+// ---------------------------------------------------------------------
+
+/// Re-checks a `--save-trace` file of an LBAlg scenario against the `LB`
+/// specification: the deterministic timely-acknowledgment and validity
+/// conditions, plus the reliability and progress indicators. The
+/// scenario the trace was saved from rebuilds the graph and the LB
+/// parameters. Exit 1 when a condition is violated.
+fn run_audit(args: &[String]) -> Result<ExitCode, String> {
+    let [selector, path] = args else {
+        return Err(format!("audit takes a scenario and a trace file\n{}", usage()));
+    };
+    let scenario = load(selector)?;
+    let WorkloadSpec::LocalBroadcast { epsilon1, .. } = scenario.workload else {
+        return Err(format!(
+            "audit: scenario {} runs the {} workload; only local-broadcast (LBAlg) \
+             traces carry the LB conditions",
+            scenario.name,
+            scenario.workload.name()
+        ));
+    };
+    let runner = ScenarioRunner::new(scenario).map_err(|e| e.to_string())?;
+    if runner.timeline().is_some_and(|t| !t.is_single()) {
+        return Err(format!(
+            "audit: scenario {} moves its nodes across geometry epochs; the LB \
+             conditions are checked against one static graph",
+            runner.scenario().name
+        ));
+    }
+    let data = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let trace: LbTrace = serde_json::from_str(&data)
+        .map_err(|e| format!("cannot parse {path} as an LBAlg trace: {e}"))?;
+    let topo = runner.topology();
+    let graph = &topo.graph;
+    // The checkers index the graph by the trace's vertices and walk its
+    // rounds phase by phase.
+    let outside = |v: &NodeId| v.0 >= graph.len();
+    let stray = trace.events.iter().find(|e| {
+        outside(&e.node) || matches!(&e.kind, EventKind::Receive { from, .. } if outside(from))
+    });
+    if trace.n != graph.len() || stray.is_some() {
+        return Err(format!(
+            "audit: {path} names vertices outside scenario {}'s {} nodes",
+            runner.scenario().name,
+            graph.len()
+        ));
+    }
+    let rounds = 1..=trace.rounds;
+    if trace.rounds > MAX_STOP_ROUNDS || trace.events.iter().any(|e| !rounds.contains(&e.round)) {
+        return Err(format!(
+            "audit: {path} has events outside its {} rounds (at most {MAX_STOP_ROUNDS})",
+            trace.rounds
+        ));
+    }
+    let params = LbConfig::practical(epsilon1).resolve(topo.r, graph.delta(), graph.delta_prime());
+    let (t_prog, t_ack) = (params.phase_len(), params.t_ack_rounds());
+    println!(
+        "trace: n = {}, Δ = {}, Δ' = {}, r = {}, {} rounds, {} events",
+        graph.len(),
+        graph.delta(),
+        graph.delta_prime(),
+        topo.r,
+        trace.rounds,
+        trace.events.len()
+    );
+
+    // Each check prints one line; an `Err` line is a failed check.
+    let checks = [
+        spec::check_timely_ack(&trace, t_ack)
+            .map(|()| format!("timely acknowledgment (t_ack = {t_ack}): OK"))
+            .map_err(|e| format!("timely acknowledgment: VIOLATED — {e}")),
+        spec::check_validity(&trace, graph)
+            .map(|()| "validity: OK".to_string())
+            .map_err(|e| format!("validity: VIOLATED — {e}")),
+        spec::reliability_outcomes(&trace, graph)
+            .map(|outcomes| {
+                let ok = outcomes.iter().filter(|o| o.success()).count();
+                let n = outcomes.len();
+                format!("reliability: {ok}/{n} broadcasts served all reliable neighbors")
+            })
+            .map_err(|e| format!("reliability evaluation failed: {e}")),
+        spec::progress_outcomes(&trace, graph, t_prog)
+            .map(|outcomes| {
+                let ok = outcomes.iter().filter(|o| o.received).count();
+                format!(
+                    "progress: {ok}/{} (node, phase) hypotheses satisfied (t_prog = {t_prog})",
+                    outcomes.len()
+                )
+            })
+            .map_err(|e| format!("progress evaluation failed: {e}")),
+    ];
+    for line in &checks {
+        println!("{}", line.as_ref().unwrap_or_else(|e| e));
+    }
+    let stats = trace.total_stats();
+    println!(
+        "channel totals: {} transmissions, {} deliveries, {} collisions, {} silent listens",
+        stats.transmitters, stats.deliveries, stats.collisions, stats.silent
+    );
+    Ok(if checks.iter().any(Result::is_err) {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    })
+}
+
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -850,6 +970,7 @@ fn run() -> Result<ExitCode, String> {
         Some("search") => run_search_mode(&args[1..]),
         Some("validate") => run_validate(&args[1..]),
         Some("journal") => run_journal(&args[1..]),
+        Some("audit") => run_audit(&args[1..]),
         _ => run_single(&args),
     }
 }

@@ -15,8 +15,8 @@
 //! As with the seed constants (see `seed_agreement::config`), the paper's
 //! sufficient multiplicative constants are far too large to execute; the
 //! [`LbConfig`] calibrations keep every *functional form* while making the
-//! constants data. EXPERIMENTS.md records the calibration used for each
-//! experiment.
+//! constants data. Each experiment in `analysis::experiments` names the
+//! calibration it uses.
 
 use seed_agreement::SeedConfig;
 use serde::{Deserialize, Serialize};

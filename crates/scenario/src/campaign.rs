@@ -6,8 +6,7 @@
 //! out **across scenarios as well as trials**: a slow scenario's last
 //! trials overlap the next scenario's first ones instead of serializing
 //! behind them. Per-scenario [`ScenarioReport`]s are reassembled in
-//! registry order and render into one combined markdown report (the
-//! EXPERIMENTS.md analog for scenario runs).
+//! registry order and render into one combined markdown report.
 //!
 //! On top of the campaign sits the regression gate: each scenario's
 //! summary metrics — mean first-ack latency, mean deliveries, mean

@@ -160,8 +160,26 @@ pub enum TopologySpec {
     },
 }
 
+/// Most vertices a topology may have: 20x the largest registered
+/// deployment (the 50k-node `scale-curve` points), so a typo cannot
+/// request a graph that exhausts memory.
+pub const MAX_TOPOLOGY_NODES: usize = 1_000_000;
+
+/// Most `G'` edges a topology's parameters may imply (see
+/// [`TopologySpec::implied_edges`]): 20x the largest registered
+/// deployment. The graph stores every edge in several adjacency arrays,
+/// so this bounds its memory to well under a gigabyte.
+pub const MAX_TOPOLOGY_EDGES: f64 = 10_000_000.0;
+
+/// `Σ_{d=1..k} (c − d)`: pairs at index offsets `1..=k` along a row of
+/// `c` points.
+fn offset_pairs(k: f64, c: f64) -> f64 {
+    k * c - k * (k + 1.0) / 2.0
+}
+
 impl TopologySpec {
-    /// The vertex count the built topology will have.
+    /// The vertex count the built topology will have (saturating, so an
+    /// absurd spec reports `usize::MAX` instead of overflowing).
     pub fn node_count(&self) -> usize {
         match self {
             TopologySpec::Line { n, .. }
@@ -169,17 +187,106 @@ impl TopologySpec {
             | TopologySpec::Clique { n, .. }
             | TopologySpec::RandomGeometric { n, .. }
             | TopologySpec::ConstantDensity { n, .. } => *n,
-            TopologySpec::Grid { rows, cols, .. } => rows * cols,
-            TopologySpec::GreySandwich { reliable, grey, .. } => 1 + reliable + grey,
-            TopologySpec::PumpArena { reliable, grey } => 1 + reliable + grey + (*grey).max(4),
+            TopologySpec::Grid { rows, cols, .. } => rows.saturating_mul(*cols),
+            TopologySpec::GreySandwich { reliable, grey, .. } => {
+                reliable.saturating_add(*grey).saturating_add(1)
+            }
+            TopologySpec::PumpArena { reliable, grey } => reliable
+                .saturating_add(*grey)
+                .saturating_add((*grey).max(4))
+                .saturating_add(1),
             TopologySpec::TwoTier {
                 core, periphery, ..
-            } => core + periphery,
+            } => core.saturating_add(*periphery),
             TopologySpec::Clustered {
                 clusters,
                 cluster_size,
                 ..
-            } => clusters * cluster_size,
+            } => clusters.saturating_mul(*cluster_size),
+        }
+    }
+
+    /// The number of `G'` edges the parameters imply, without building
+    /// the graph: exact for the line, ring, grid and clique; for the
+    /// other fixed arenas (grey sandwich, pump arena, two-tier) every
+    /// pair; for clusters every pair in clusters close enough to link;
+    /// and the expectation for the random-geometric families (ignoring
+    /// edge effects, so slightly high). Exact counts can be off by one
+    /// offset where a distance ties `r` in floating point.
+    pub fn implied_edges(&self) -> f64 {
+        let n = self.node_count() as f64;
+        let all_pairs = n * (n - 1.0) / 2.0;
+        // Probability that two uniform points in a square of the given
+        // side lie within distance `d` (boundary effects ignored).
+        let within = |d: f64, side: f64| (std::f64::consts::PI * d * d / (side * side)).min(1.0);
+        match *self {
+            TopologySpec::Line { spacing, r, .. } => {
+                offset_pairs((r / spacing).floor().min(n - 1.0), n)
+            }
+            TopologySpec::Ring { spacing, r, .. } => {
+                // Chord of index offset k: 2R·sin(πk/n), increasing in
+                // k up to n/2.
+                let radius = n * spacing / (2.0 * std::f64::consts::PI);
+                if r >= 2.0 * radius {
+                    return all_pairs;
+                }
+                let k = (n / std::f64::consts::PI * (r / (2.0 * radius)).asin())
+                    .floor()
+                    .min((n / 2.0).floor());
+                if 2.0 * k == n {
+                    all_pairs
+                } else {
+                    n * k
+                }
+            }
+            TopologySpec::Grid {
+                rows,
+                cols,
+                spacing,
+                r,
+            } => {
+                let (rows, cols, reach) = (rows as f64, cols as f64, r / spacing);
+                let row_pairs = |dy: f64| (reach * reach - dy * dy).sqrt().floor().min(cols - 1.0);
+                let mut edges = rows * offset_pairs(row_pairs(0.0), cols);
+                let mut dy = 1.0;
+                while dy <= reach.min(rows - 1.0) {
+                    edges += (rows - dy) * (cols + 2.0 * offset_pairs(row_pairs(dy), cols));
+                    dy += 1.0;
+                }
+                edges
+            }
+            TopologySpec::Clique { .. }
+            | TopologySpec::GreySandwich { .. }
+            | TopologySpec::PumpArena { .. }
+            | TopologySpec::TwoTier { .. } => all_pairs,
+            TopologySpec::Clustered {
+                clusters,
+                cluster_size,
+                spacing,
+                spread,
+                r,
+                ..
+            } => {
+                // Points sit within `spread` of their center along x, so
+                // clusters more than `r + 2·spread` apart never link.
+                let (c, size) = (clusters as f64, cluster_size as f64);
+                let linked = ((r + 2.0 * spread) / spacing).floor().min(c - 1.0);
+                c * size * (size - 1.0) / 2.0 + size * size * offset_pairs(linked, c)
+            }
+            TopologySpec::RandomGeometric {
+                side,
+                r,
+                grey_reliable_p,
+                grey_unreliable_p,
+                ..
+            } => {
+                let grey = within(r, side) - within(1.0, side);
+                let wired = grey_reliable_p + (1.0 - grey_reliable_p) * grey_unreliable_p;
+                all_pairs * (within(1.0, side) + grey * wired)
+            }
+            TopologySpec::ConstantDensity { density, r, .. } => {
+                all_pairs * within(r, topology::constant_density_side(self.node_count(), density))
+            }
         }
     }
 
@@ -199,10 +306,16 @@ impl TopologySpec {
                 Err(invalid(format!("topology: spacing must be > 0, got {s}")))
             }
         };
-        if self.node_count() == 0 {
+        let n = self.node_count();
+        if n == 0 {
             return Err(invalid("topology: node count must be >= 1"));
         }
-        match *self {
+        if n > MAX_TOPOLOGY_NODES {
+            return Err(invalid(format!(
+                "topology: node count must be <= {MAX_TOPOLOGY_NODES}, got {n}"
+            )));
+        }
+        let params = match *self {
             TopologySpec::Line { spacing, r, .. } | TopologySpec::Grid { spacing, r, .. } => {
                 check_spacing(spacing)?;
                 check_r(r)
@@ -265,7 +378,16 @@ impl TopologySpec {
                 }
                 check_r(r)
             }
+        };
+        params?;
+        let edges = self.implied_edges();
+        if edges > MAX_TOPOLOGY_EDGES {
+            return Err(invalid(format!(
+                "topology: the parameters imply {edges:.3e} G' edges, more than \
+                 the cap of {MAX_TOPOLOGY_EDGES:.0}"
+            )));
         }
+        Ok(())
     }
 
     /// Builds the topology. Call only on a validated spec.
@@ -1766,6 +1888,112 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_a_parse_error_not_a_stack_overflow() {
+        let err = Scenario::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(matches!(err, ScenarioError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+    }
+
+    #[test]
+    fn rejects_topologies_past_the_size_caps() {
+        let err = |topology| {
+            ScenarioBuilder::new("t", topology, WorkloadSpec::Decay { senders: vec![0] })
+                .build()
+                .unwrap_err()
+                .to_string()
+        };
+        // 10^10 nodes: the grid that used to abort allocating 160 GB.
+        let e = err(TopologySpec::Grid {
+            rows: 100_000,
+            cols: 100_000,
+            spacing: 1.0,
+            r: 2.0,
+        });
+        assert!(e.contains("topology: node count must be <= 1000000"), "{e}");
+        // The clique that used to be OOM-killed.
+        let e = err(TopologySpec::Clique { n: 3_000_000, r: 1.0 });
+        assert!(e.contains("topology: node count"), "{e}");
+        // Overflowing dimensions saturate rather than panic.
+        let e = err(TopologySpec::Grid {
+            rows: usize::MAX,
+            cols: 3,
+            spacing: 1.0,
+            r: 2.0,
+        });
+        assert!(e.contains("topology: node count"), "{e}");
+        // Few enough nodes, but ~5·10^7 edges, exactly or in expectation.
+        let e = err(TopologySpec::Clique { n: 10_000, r: 1.0 });
+        assert!(e.contains("G' edges"), "{e}");
+        let e = err(TopologySpec::RandomGeometric {
+            n: 100_000,
+            side: 20.0,
+            r: 2.0,
+            grey_reliable_p: 0.1,
+            grey_unreliable_p: 0.8,
+            seed: 1,
+        });
+        assert!(e.contains("G' edges"), "{e}");
+    }
+
+    #[test]
+    fn every_shipped_scenario_fits_the_size_caps() {
+        let mut scenarios = crate::registry::all();
+        for sweep in crate::sweep::sweeps() {
+            scenarios.extend(sweep.expand().unwrap().scenarios());
+        }
+        for preset in crate::search::presets() {
+            preset.validate().unwrap();
+            scenarios.push(preset.base);
+        }
+        let found = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/found");
+        for entry in std::fs::read_dir(found).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("found-") {
+                scenarios.push(Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap());
+            }
+        }
+        assert!(scenarios.iter().any(|s| s.topology.node_count() == 50_000));
+        for s in &scenarios {
+            s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
+            // Headroom: the caps sit well above anything shipped.
+            assert!(s.topology.node_count() * 10 <= MAX_TOPOLOGY_NODES, "{}", s.name);
+            assert!(s.topology.implied_edges() * 10.0 <= MAX_TOPOLOGY_EDGES, "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn implied_edges_expect_the_random_geometric_builds() {
+        // Edge effects only lower the built count below the expectation.
+        for spec in [
+            TopologySpec::RandomGeometric {
+                n: 400,
+                side: 10.0,
+                r: 2.0,
+                grey_reliable_p: 0.1,
+                grey_unreliable_p: 0.8,
+                seed: 2,
+            },
+            TopologySpec::ConstantDensity {
+                n: 2_000,
+                density: 8.0,
+                r: 1.5,
+                seed: 3,
+            },
+        ] {
+            let g = spec.build().graph;
+            let (expected, built) = (
+                spec.implied_edges(),
+                (g.reliable_edges().len() + g.extra_edges().len()) as f64,
+            );
+            assert!(
+                built <= expected * 1.05 && built >= expected * 0.7,
+                "{spec:?}: expected {expected}, built {built}"
+            );
+        }
+    }
+
+    #[test]
     fn node_counts_match_built_topologies() {
         let specs = vec![
             TopologySpec::Line {
@@ -1778,11 +2006,22 @@ mod tests {
                 spacing: 0.9,
                 r: 2.0,
             },
+            TopologySpec::Ring {
+                n: 40,
+                spacing: 0.7,
+                r: 3.0,
+            },
             TopologySpec::Grid {
                 rows: 3,
                 cols: 4,
                 spacing: 0.9,
                 r: 2.0,
+            },
+            TopologySpec::Grid {
+                rows: 6,
+                cols: 5,
+                spacing: 0.7,
+                r: 3.0,
             },
             TopologySpec::Clique { n: 7, r: 1.0 },
             TopologySpec::GreySandwich {
@@ -1828,6 +2067,18 @@ mod tests {
             let topo = spec.build();
             assert_eq!(topo.graph.len(), spec.node_count(), "{spec:?}");
             topo.check_geographic().unwrap();
+            // The implied edge count is exact for the lattices and the
+            // clique and bounds the fixed arenas (random builds are
+            // checked in expectation above).
+            let edges = (topo.graph.reliable_edges().len() + topo.graph.extra_edges().len()) as f64;
+            match spec {
+                TopologySpec::Line { .. }
+                | TopologySpec::Ring { .. }
+                | TopologySpec::Grid { .. }
+                | TopologySpec::Clique { .. } => assert_eq!(spec.implied_edges(), edges, "{spec:?}"),
+                TopologySpec::RandomGeometric { .. } | TopologySpec::ConstantDensity { .. } => {}
+                _ => assert!(spec.implied_edges() >= edges, "{spec:?}"),
+            }
         }
     }
 }

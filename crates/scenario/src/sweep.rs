@@ -1709,7 +1709,7 @@ mod tests {
             );
         }
         // The pinned subset covers the scale extremes the BENCH scale
-        // section tracks.
+        // cases time.
         assert!(scale_curve()
             .pinned
             .contains(&"scale@n=50000,adv=0.5".to_string()));

@@ -15,7 +15,7 @@
 //! every quantity (phases = `log Δ`, phase length ∝ `log²(1/ε₁)`,
 //! transmit probability = `1/log(1/ε₁)`, leader probabilities
 //! `2^{-(log Δ − h + 1)}`) while choosing constants small enough to
-//! execute; EXPERIMENTS.md records the calibration and verifies the
+//! execute; the experiment suite (`analysis::experiments`) verifies the
 //! *scaling shape* the theorem asserts, which does not depend on the
 //! constant.
 
@@ -103,8 +103,8 @@ impl SeedConfig {
 
     /// The δ bound to check the Agreement condition against:
     /// `ceil(c_δ · r² · log₂(1/ε₁))`, the concrete form of Theorem 3.1's
-    /// `O(r² log(1/ε₁))`. `c_δ` is a calibration constant recorded in
-    /// EXPERIMENTS.md (the paper's own sufficient value is
+    /// `O(r² log(1/ε₁))`. `c_δ` is a calibration constant the caller picks
+    /// (the E1 experiment passes its own; the paper's sufficient value is
     /// `6 c_r c₃ = O(r²)` with enormous constants).
     pub fn delta_bound(&self, r: f64, c_delta: f64) -> usize {
         (c_delta * r * r * self.log_inv_eps()).ceil() as usize

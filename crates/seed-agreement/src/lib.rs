@@ -15,8 +15,8 @@
 //!   explicit consumption cursor (the paper's "consumes new bits from its
 //!   seed").
 //! * [`config`] — the algorithm's parameters and the constants ladder of
-//!   Appendix B.1, with practical calibrations (see DESIGN.md §3 on why
-//!   the paper's literal constants are unusable).
+//!   Appendix B.1, with practical calibrations (the [`config`] module docs
+//!   explain why the paper's literal constants are unusable).
 //! * [`alg`] — [`SeedProcess`](alg::SeedProcess), the `SeedAlg(ε₁)`
 //!   algorithm as a [`radio_sim::process::Process`].
 //! * [`spec`] — the four conditions of the `Seed(δ, ε)` specification as

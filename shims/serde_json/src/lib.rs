@@ -59,6 +59,7 @@ pub fn from_str<T: serde::DeserializeOwned>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -189,9 +190,16 @@ fn write_value_pretty(out: &mut String, v: &Value, indent: usize) -> Result<(), 
 // Parsing
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts — the real crate's
+/// default recursion limit. Deeper input is a parse error instead of a
+/// stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,56 +245,21 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
                 }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error::new(format!("expected ',' or ']' at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error::new(format!("expected ',' or '}}' at byte {}", self.pos))),
-                    }
-                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.parse_seq()
+                } else {
+                    self.parse_map()
+                };
+                self.depth -= 1;
+                value
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error::new(format!(
@@ -294,6 +267,59 @@ impl<'a> Parser<'a> {
                 other.map(|b| b as char),
                 self.pos
             ))),
+        }
+    }
+
+    fn parse_seq(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                _ => return Err(Error::new(format!("expected ',' or ']' at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn parse_map(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(entries));
+                }
+                _ => return Err(Error::new(format!("expected ',' or '}}' at byte {}", self.pos))),
+            }
         }
     }
 
@@ -421,6 +447,28 @@ mod tests {
         assert_eq!(from_str::<Option<u64>>("5").unwrap(), Some(5));
         let t = (1u64, 2.5f64);
         assert_eq!(from_str::<(u64, f64)>(&to_string(&t).unwrap()).unwrap(), t);
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error() {
+        let parse = |json: &str| {
+            Parser {
+                bytes: json.as_bytes(),
+                pos: 0,
+                depth: 0,
+            }
+            .parse_value()
+        };
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+        // Objects count too, mixed with arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2 + 1);
+        assert!(parse(&mixed).unwrap_err().to_string().contains("recursion limit"));
+        // Far past the limit: an error, not a stack overflow.
+        let err = from_str::<Vec<u8>>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
     }
 
     #[test]
