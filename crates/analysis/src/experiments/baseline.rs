@@ -11,39 +11,10 @@ use local_broadcast::config::LbConfig;
 use local_broadcast::msg::{LbInput, LbMsg, Payload};
 use radio_sim::engine::Engine;
 use radio_sim::environment::ScriptedEnvironment;
-use radio_sim::geometry::{Embedding, Point};
 use radio_sim::graph::NodeId;
 use radio_sim::scheduler::{self, LinkScheduler, MaskedPump};
-use radio_sim::topology::{self, GreyKind, Topology};
+use radio_sim::topology::{self, Topology};
 use radio_sim::trace::RecordingPolicy;
-
-/// The E7 arena: a listening receiver at the origin with `reliable`
-/// nearby senders; `grey` senders in the annulus connected only by
-/// unreliable edges; and a remote clique of `grey.max(4)` nodes that
-/// inflates the *global* degree bound Δ, stretching Decay's probability
-/// ladder down to `≈ 1/grey` where the pump's starvation bites.
-///
-/// Layout: receiver NodeId(0); reliable senders 1..=reliable;
-/// grey senders next; remote clique last.
-fn pump_arena(reliable: usize, grey: usize) -> Topology {
-    let r = 2.0;
-    let mut pts = vec![Point::new(0.0, 0.0)];
-    for i in 0..reliable {
-        let a = 0.5 * (i as f64) / reliable.max(1) as f64;
-        pts.push(Point::new(0.8 * a.cos(), 0.8 * a.sin()));
-    }
-    let ring = 1.5;
-    for i in 0..grey {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / grey.max(1) as f64;
-        pts.push(Point::new(ring * a.cos(), ring * a.sin()));
-    }
-    let clique = grey.max(4);
-    for i in 0..clique {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / clique as f64;
-        pts.push(Point::new(100.0 + 0.49 * a.cos(), 0.49 * a.sin()));
-    }
-    topology::from_embedding(Embedding::new(pts), r, GreyKind::Unreliable)
-}
 
 /// Rounds until the arena's receiver (node 0) first receives anything,
 /// under a Decay baseline with the given scheduler. Senders are the
@@ -146,7 +117,7 @@ pub fn e7_pump_separation(scale: Scale) -> Vec<Table> {
         Scale::Full => vec![16, 32, 64, 128],
     };
     for (i, &grey) in greys.iter().enumerate() {
-        let topo = pump_arena(reliable, grey);
+        let topo = topology::pump_arena(reliable, grey);
         let delta_hat = topo.graph.delta().max(2).next_power_of_two();
         let log_delta = delta_hat.trailing_zeros().max(1);
         // Flood every rung where the grey crowd collides (expected grey
@@ -290,29 +261,13 @@ pub fn e8_adaptive_separation(scale: Scale) -> Vec<Table> {
     vec![t]
 }
 
-/// Used by integration tests: arena construction is geographic.
-pub fn arena_for_tests(grey: usize) -> Topology {
-    pump_arena(2, grey)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn arena_is_geographic_with_remote_clique() {
-        let topo = pump_arena(2, 8);
-        topo.check_geographic().unwrap();
-        // Receiver: 2 reliable neighbors, 8 grey neighbors.
-        assert_eq!(topo.graph.reliable_neighbors(NodeId(0)).len(), 2);
-        assert_eq!(topo.graph.extra_neighbors(NodeId(0)).len(), 8);
-        // The remote clique dominates Δ.
-        assert!(topo.graph.delta() >= 8);
-    }
-
-    #[test]
     fn decay_latency_is_finite_without_interference() {
-        let topo = pump_arena(2, 4);
+        let topo = topology::pump_arena(2, 4);
         let lat = decay_receiver_latency(
             &topo,
             2,

@@ -26,8 +26,8 @@ pub const BENCH_SCHEMA_VERSION: u32 = 2;
 pub const SAMPLES: usize = 5;
 
 /// The pinned campaign subset every perf run measures — the same subset
-/// the CI golden gate checks, so throughput numbers track a fixed
-/// workload across PRs.
+/// CI's observed (telemetry) campaign gates, so throughput numbers
+/// track a fixed workload across PRs.
 pub const PINNED_CAMPAIGN: [&str; 4] = ["e2", "e5", "e11", "drop-burst"];
 
 const NODE_ROUNDS: &str = "node-rounds/s";

@@ -58,6 +58,9 @@ pub struct LbConfig {
 }
 
 impl LbConfig {
+    /// The largest error parameter `LBAlg` accepts (`ε₁ ≤ 1/2`).
+    pub const MAX_EPSILON1: f64 = 0.5;
+
     /// The default executable calibration.
     ///
     /// # Panics
@@ -84,7 +87,7 @@ impl LbConfig {
     /// Panics unless `0 < ε₁ ≤ 1/2` and all constants are positive.
     pub fn with_constants(epsilon1: f64, c_prog: f64, c_ack: f64, seed_c4: f64) -> Self {
         assert!(
-            epsilon1 > 0.0 && epsilon1 <= 0.5,
+            epsilon1 > 0.0 && epsilon1 <= Self::MAX_EPSILON1,
             "LBAlg requires 0 < ε₁ ≤ 1/2, got {epsilon1}"
         );
         assert!(c_prog > 0.0 && c_ack > 0.0 && seed_c4 > 0.0);
@@ -121,7 +124,7 @@ impl LbConfig {
     /// `min{ε′, ε₁}`; operationally we use `min{ε₁/2, 1/4}`, which keeps
     /// `ε₂ ≤ ε₁` and satisfies `SeedAlg`'s own `ε ≤ 1/4` requirement.
     pub fn epsilon2(&self) -> f64 {
-        (self.epsilon1 / 2.0).min(0.25)
+        (self.epsilon1 / 2.0).min(SeedConfig::MAX_EPSILON1)
     }
 
     /// Resolves all round counts for a concrete `(r, Δ, Δ')`.

@@ -386,6 +386,34 @@ pub fn grey_sandwich(reliable_senders: usize, grey_senders: usize, r: f64) -> To
     build_from_embedding(Embedding::new(points), r, |_, _, _| GreyKind::Unreliable)
 }
 
+/// The E7 arena: a listening receiver at the origin with `reliable`
+/// nearby senders; `grey` senders in the annulus connected only by
+/// unreliable edges; and a remote clique of `grey.max(4)` nodes that
+/// inflates the *global* degree bound Δ, stretching Decay's probability
+/// ladder down to `≈ 1/grey` where a contention pump's starvation bites.
+/// `r = 2`.
+///
+/// Layout: receiver `NodeId(0)`; reliable senders `1..=reliable`;
+/// grey senders next; remote clique last.
+pub fn pump_arena(reliable: usize, grey: usize) -> Topology {
+    let mut points = vec![Point::new(0.0, 0.0)];
+    for i in 0..reliable {
+        let angle = 0.5 * (i as f64) / (reliable.max(1) as f64);
+        points.push(Point::new(0.8 * angle.cos(), 0.8 * angle.sin()));
+    }
+    let ring = 1.5;
+    for i in 0..grey {
+        let angle = 2.0 * std::f64::consts::PI * (i as f64) / (grey.max(1) as f64);
+        points.push(Point::new(ring * angle.cos(), ring * angle.sin()));
+    }
+    let clique = grey.max(4);
+    for i in 0..clique {
+        let angle = 2.0 * std::f64::consts::PI * (i as f64) / (clique as f64);
+        points.push(Point::new(100.0 + 0.49 * angle.cos(), 0.49 * angle.sin()));
+    }
+    from_embedding(Embedding::new(points), 2.0, GreyKind::Unreliable)
+}
+
 /// Parameters for [`clustered`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterParams {
@@ -748,6 +776,18 @@ mod tests {
         assert!(t.graph.is_any_edge(receiver, grey));
         assert!(!t.graph.is_reliable_edge(receiver, grey));
         t.check_geographic().unwrap();
+    }
+
+    #[test]
+    fn arena_is_geographic_with_remote_clique() {
+        let topo = pump_arena(2, 8);
+        topo.check_geographic().unwrap();
+        let receiver = crate::graph::NodeId(0);
+        // Receiver: 2 reliable neighbors, 8 grey neighbors.
+        assert_eq!(topo.graph.reliable_neighbors(receiver).len(), 2);
+        assert_eq!(topo.graph.extra_neighbors(receiver).len(), 8);
+        // The remote clique dominates Δ.
+        assert!(topo.graph.delta() >= 8);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   [`ScenarioBuilder`](spec::ScenarioBuilder).
 //! * [`registry`] — named scenarios: the E1–E11 experiment suite
 //!   re-expressed as data, plus fault-injection scenarios (churn,
-//!   jamming window, drop burst) the hard-coded suite could not state.
+//!   crash-restart, jamming window, mobility, drop burst) the hard-coded
+//!   suite could not state. The registry is the files under
+//!   `scenarios/`, embedded at compile time.
 //! * [`runner`] — the [`ScenarioRunner`](runner::ScenarioRunner),
 //!   compiling a scenario into configured `radio-sim` executions, fanning
 //!   trials across cores, and aggregating experiment-style stats tables.
@@ -32,8 +34,8 @@
 //!   into a grid of derived scenarios (run as one campaign), and a
 //!   [`SweepReport`](sweep::SweepReport) pivots the outcomes into
 //!   per-axis curve tables (markdown + CSV). The sweep registry
-//!   ([`sweep::sweeps`]) carries the churn-knee and loss-grid curve
-//!   families.
+//!   ([`sweep::sweeps`]) is the files under `scenarios/sweeps/`: the
+//!   churn-knee, loss-grid, mobility-knee and scale-curve families.
 //! * [`search`] — the adversary search engine: a
 //!   [`SearchSpec`](search::SearchSpec) describes a budgeted,
 //!   seed-deterministic exploration of the adversary × fault space

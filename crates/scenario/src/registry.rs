@@ -1,375 +1,75 @@
-//! The named scenario registry.
+//! The named scenario registry: the files under `scenarios/`.
 //!
-//! Every experiment of the E1–E11 suite is re-expressed here as *data*:
-//! a representative cell of the experiment's sweep (its topology family,
-//! adversary, workload, and horizon) as a [`Scenario`] value runnable by
+//! Every experiment of the E1–E11 suite is re-expressed as *data*: a
+//! representative cell of the experiment's sweep (its topology family,
+//! adversary, workload, and horizon) as a [`Scenario`] file runnable by
 //! name through the `scenario` binary. The registry also carries the
-//! fault-injection scenarios — churn, a jamming window, a drop burst —
-//! that the hard-coded suite could not express at all.
+//! fault-injection scenarios — churn, crash-restart, a jamming window,
+//! mobility, a drop burst — that the hard-coded suite could not express
+//! at all.
+//!
+//! The files are the only definition: each is embedded at compile time
+//! (one `include_str!` line below, in suite order), parsed and validated
+//! once per process, and handed out as clones. Adding an entry means
+//! adding its file (often an edited `scenario <neighbour> --export`), its
+//! line here, and a blessed golden (`scenario campaign <name> --bless`).
 //!
 //! The derived statistics of the original experiments (Wilson intervals,
-//! log-fits, per-claim assertions) remain in `analysis::experiments`;
-//! the registry gives every configuration a declarative, serializable,
-//! extensible form.
+//! log-fits, per-claim assertions) remain in `analysis::experiments`.
 
-use crate::spec::{
-    AdversarySpec, Scenario, ScenarioBuilder, StopSpec, TopologySpec, WorkloadSpec,
-};
+use crate::spec::Scenario;
+use std::sync::OnceLock;
 
-fn seed_workload(epsilon1: f64) -> WorkloadSpec {
-    WorkloadSpec::SeedAgreement {
-        epsilon1,
-        seed_bits: 64,
-    }
-}
+/// The registry files, in suite order.
+const FILES: &[&str] = &[
+    include_str!("../../../scenarios/e1.json"),
+    include_str!("../../../scenarios/e2.json"),
+    include_str!("../../../scenarios/e3.json"),
+    include_str!("../../../scenarios/e4.json"),
+    include_str!("../../../scenarios/e5.json"),
+    include_str!("../../../scenarios/e6.json"),
+    include_str!("../../../scenarios/e7.json"),
+    include_str!("../../../scenarios/e8.json"),
+    include_str!("../../../scenarios/e9.json"),
+    include_str!("../../../scenarios/e10.json"),
+    include_str!("../../../scenarios/e11.json"),
+    include_str!("../../../scenarios/churn.json"),
+    include_str!("../../../scenarios/churn_restart.json"),
+    include_str!("../../../scenarios/jamming_window.json"),
+    include_str!("../../../scenarios/mobility.json"),
+    include_str!("../../../scenarios/drop_burst.json"),
+];
 
-fn lb_workload(epsilon1: f64, senders: Vec<usize>, messages: u64) -> WorkloadSpec {
-    WorkloadSpec::LocalBroadcast {
-        epsilon1,
-        senders,
-        messages_per_sender: messages,
-    }
-}
-
-fn build(b: ScenarioBuilder) -> Scenario {
-    b.build().expect("registry scenarios are valid")
+/// The parsed registry, built on first use.
+fn registry() -> &'static [Scenario] {
+    static REGISTRY: OnceLock<Vec<Scenario>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        FILES
+            .iter()
+            .map(|json| {
+                Scenario::from_json(json)
+                    .unwrap_or_else(|e| panic!("embedded registry file is invalid: {e}"))
+            })
+            .collect()
+    })
 }
 
 /// All registered scenarios, in suite order.
 pub fn all() -> Vec<Scenario> {
-    vec![
-        // ------------------------------------------------------------------
-        // The E1–E11 experiment suite as data.
-        // ------------------------------------------------------------------
-        build(
-            ScenarioBuilder::new(
-                "e1",
-                TopologySpec::RandomGeometric {
-                    n: 60,
-                    side: 4.0,
-                    r: 2.0,
-                    grey_reliable_p: 0.1,
-                    grey_unreliable_p: 0.8,
-                    seed: 11,
-                },
-                seed_workload(0.0625),
-            )
-            .description(
-                "E1 seed agreement δ bound: max distinct owners per G'-neighborhood \
-                 stays O(r² log 1/ε₁) on the E1a random geometric arena (ε₁ = 1/16)",
-            )
-            .trials(8)
-            .base_seed(1_000),
-        ),
-        build(
-            ScenarioBuilder::new("e2", TopologySpec::Clique { n: 16, r: 1.0 }, seed_workload(0.0625))
-                .description(
-                    "E2 SeedAlg round complexity: decides land within the \
-                     O(log Δ · log²(1/ε₁)) schedule on a Δ = 16 clique",
-                )
-                .trials(6)
-                .base_seed(3_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e3",
-                TopologySpec::RandomGeometric {
-                    n: 40,
-                    side: 3.5,
-                    r: 2.0,
-                    grey_reliable_p: 0.1,
-                    grey_unreliable_p: 0.8,
-                    seed: 21,
-                },
-                seed_workload(0.125),
-            )
-            .description(
-                "E3 seed spec conformance under a randomized oblivious scheduler: \
-                 well-formedness/consistency/fidelity hold in every execution",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .trials(5)
-            .base_seed(4_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e4",
-                TopologySpec::Clique { n: 8, r: 1.0 },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "E4 local broadcast progress: a streaming sender on a Δ = 8 clique; \
-                 listeners hear data in most phases (≥ 1 − ε₁ per node and phase)",
-            )
-            .stop(StopSpec::Phases { phases: 4 })
-            .trials(6)
-            .base_seed(10_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e5",
-                TopologySpec::Clique { n: 8, r: 1.0 },
-                lb_workload(0.25, vec![0], 1),
-            )
-            .description(
-                "E5 acknowledgment: a single broadcast acks within t_ack and serves \
-                 all reliable neighbors first w.p. ≥ 1 − ε₁",
-            )
-            .trials(6)
-            .base_seed(12_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e6",
-                TopologySpec::Clique { n: 8, r: 1.0 },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "E6 Lemma 4.2 reception rates: channel deliveries per listening round \
-                 during streaming phase bodies (the p_u / p_{u,v} measurement arena)",
-            )
-            .stop(StopSpec::Phases { phases: 4 })
-            .trials(6)
-            .base_seed(14_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e7",
-                TopologySpec::PumpArena {
-                    reliable: 1,
-                    grey: 16,
-                },
-                WorkloadSpec::Decay {
-                    senders: (1..=17).collect(),
-                },
-            )
-            .description(
-                "E7 contention pump vs Decay: the anti-Decay masked pump floods the \
-                 receiver's grey ring on aggressive rungs and starves the rest; \
-                 first delivery at the receiver is delayed toward the horizon",
-            )
-            .adversary(AdversarySpec::MaskedPumpAgainstDecay {
-                log_delta: 4,
-                threshold: 0.45,
-            })
-            .stop(StopSpec::FirstDeliveryAt {
-                node: 0,
-                horizon_rounds: 1_024,
-            })
-            .trials(8)
-            .base_seed(20_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e8",
-                TopologySpec::GreySandwich {
-                    reliable: 1,
-                    grey: 16,
-                    r: 2.0,
-                },
-                lb_workload(0.25, (1..=17).collect(), 1),
-            )
-            .description(
-                "E8 oblivious/adaptive separation: the greedy jammer (outside the \
-                 model) manufactures collisions at the receiver; first delivery is \
-                 delayed or censored where any oblivious schedule permits progress",
-            )
-            .adversary(AdversarySpec::GreedyJammer)
-            .stop(StopSpec::FirstDeliveryAt {
-                node: 0,
-                horizon_rounds: 4_096,
-            })
-            .trials(4)
-            .base_seed(31_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e9",
-                TopologySpec::ConstantDensity {
-                    n: 144,
-                    density: 8.0,
-                    r: 1.5,
-                    seed: 97,
-                },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "E9 true locality: a constant-density deployment 2.25× the base size; \
-                 per-neighborhood behavior (not n) sets every measured quantity",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .stop(StopSpec::Phases { phases: 3 })
-            .trials(3)
-            .base_seed(40_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e10",
-                TopologySpec::RandomGeometric {
-                    n: 80,
-                    side: 3.0,
-                    r: 2.0,
-                    grey_reliable_p: 0.1,
-                    grey_unreliable_p: 0.8,
-                    seed: 31,
-                },
-                seed_workload(0.0625),
-            )
-            .description(
-                "E10 region-of-goodness arena: SeedAlg on the dense RGG used for the \
-                 Appendix B goodness dynamics (phase-1 goodness, persistence)",
-            )
-            .trials(6)
-            .base_seed(5_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "e11",
-                TopologySpec::Line {
-                    n: 4,
-                    spacing: 0.9,
-                    r: 1.0,
-                },
-                WorkloadSpec::AmacFlood {
-                    epsilon1: 0.25,
-                    sources: vec![0],
-                },
-            )
-            .description(
-                "E11 abstract MAC port: flood broadcast over the LBAlg-backed MAC \
-                 layer completes along a path in ≈ hops × f_ack rounds",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .trials(4)
-            .base_seed(60_000),
-        ),
-        // ------------------------------------------------------------------
-        // Fault-injection scenarios the hard-coded suite could not express.
-        // ------------------------------------------------------------------
-        build(
-            ScenarioBuilder::new(
-                "churn",
-                TopologySpec::Grid {
-                    rows: 4,
-                    cols: 4,
-                    spacing: 0.9,
-                    r: 2.0,
-                },
-                lb_workload(0.25, vec![0, 5], 1_000),
-            )
-            .description(
-                "churn: two streaming senders on a 4×4 grid while node 10 \
-                 power-cycles (down rounds 40–119) and node 3 fails permanently at \
-                 round 200; the layer keeps serving the surviving neighborhoods",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .crash(10, 40, Some(120))
-            .crash(3, 200, None)
-            .stop(StopSpec::Phases { phases: 6 })
-            .trials(4)
-            .base_seed(70_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "churn-restart",
-                TopologySpec::Grid {
-                    rows: 4,
-                    cols: 4,
-                    spacing: 0.9,
-                    r: 2.0,
-                },
-                lb_workload(0.25, vec![0, 5], 1_000),
-            )
-            .description(
-                "churn-restart: the churn scenario under true crash-restart \
-                 semantics — node 10's recovery wipes its volatile state (fresh \
-                 phase bookkeeping, lost reception-dedup memory) instead of \
-                 resuming mid-phase where power-save churn left off",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .crash_restart(10, 40, Some(120))
-            .crash(3, 200, None)
-            .stop(StopSpec::Phases { phases: 6 })
-            .trials(4)
-            .base_seed(70_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "jamming-window",
-                TopologySpec::Grid {
-                    rows: 4,
-                    cols: 4,
-                    spacing: 0.9,
-                    r: 2.0,
-                },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "jamming-window: a unit-radius interference disc over the grid \
-                 center silences its listeners during rounds 60–180; deliveries \
-                 inside the region stall, then recover when the window ends",
-            )
-            .jam_disc(1.35, 1.35, 1.0, 60, 180)
-            .stop(StopSpec::Phases { phases: 6 })
-            .trials(4)
-            .base_seed(71_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "mobility",
-                TopologySpec::RandomGeometric {
-                    n: 40,
-                    side: 4.0,
-                    r: 2.0,
-                    grey_reliable_p: 0.1,
-                    grey_unreliable_p: 0.8,
-                    seed: 41,
-                },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "mobility: a streaming sender on a 40-node arena whose deployment \
-                 drifts under random-waypoint motion (120-round geometry epochs) \
-                 while a unit-radius jam disc sweeps left to right across the \
-                 arena; deliveries stall inside the disc's current footprint and \
-                 recover behind it",
-            )
-            .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-            .mobility(0.005, 120)
-            .moving_jam_disc(0.5, 2.0, 1.0, 0.005, 0.0, 60, 600)
-            .stop(StopSpec::Rounds { rounds: 720 })
-            .trials(4)
-            .base_seed(73_000),
-        ),
-        build(
-            ScenarioBuilder::new(
-                "drop-burst",
-                TopologySpec::Clique { n: 8, r: 1.0 },
-                lb_workload(0.25, vec![0], 1_000),
-            )
-            .description(
-                "drop-burst: a streaming sender on a Δ = 8 clique through a 50% \
-                 loss burst during rounds 30–90; acknowledgments slow during the \
-                 burst and catch up after",
-            )
-            .drop_burst(30, 90, 0.5)
-            .stop(StopSpec::Phases { phases: 6 })
-            .trials(4)
-            .base_seed(72_000),
-        ),
-    ]
+    registry().to_vec()
 }
 
 /// The registered scenario names, in suite order.
 pub fn names() -> Vec<String> {
-    all().into_iter().map(|s| s.name).collect()
+    registry().iter().map(|s| s.name.clone()).collect()
 }
 
 /// Looks up a scenario by name (case-insensitive).
 pub fn find(name: &str) -> Option<Scenario> {
-    all()
-        .into_iter()
+    registry()
+        .iter()
         .find(|s| s.name.eq_ignore_ascii_case(name))
+        .cloned()
 }
 
 #[cfg(test)]
@@ -424,14 +124,5 @@ mod tests {
         assert!(m.speed > 0.0);
         assert!(m.epochs_for(720) > 1, "multi-epoch by construction");
         assert!(s.faults.jams.iter().any(|j| j.is_moving()));
-    }
-
-    #[test]
-    fn experiment_scenarios_roundtrip_through_json() {
-        for s in all() {
-            let back = Scenario::from_json(&s.to_json())
-                .unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(s, back);
-        }
     }
 }

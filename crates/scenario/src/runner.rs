@@ -11,8 +11,7 @@
 //! byte-identical across replays.
 
 use crate::spec::{
-    AdversarySpec, RegionSpec, Scenario, ScenarioError, StopSpec, TopologySpec, TransportSpec,
-    WorkloadSpec,
+    AdversarySpec, Scenario, ScenarioError, StopSpec, TopologySpec, TransportSpec, WorkloadSpec,
 };
 use analysis::runner::run_trials;
 use analysis::stats::Summary;
@@ -302,15 +301,16 @@ impl ScenarioRunner {
         scenario.validate()?;
         let topo = scenario.topology.build();
         let mobility = Self::build_mobility(&scenario)?;
-        // A single-epoch timeline is defined to be byte-identical to the
-        // static scenario, so it takes the static resolution path (one
-        // window per jam, resolved against the deployment embedding).
-        let faults = match &mobility {
-            Some(m) if !m.timeline.is_single() => {
-                Self::resolve_faults_per_epoch(&scenario, m)?
-            }
-            _ => scenario.faults.resolve(&topo)?,
+        let epochs: Vec<(u64, &Embedding)> = match &mobility {
+            Some(m) => m
+                .embeddings
+                .iter()
+                .enumerate()
+                .map(|(e, emb)| (m.timeline.epoch_start(e), &**emb))
+                .collect(),
+            None => vec![(1, &topo.embedding)],
         };
+        let faults = scenario.faults.resolve(&epochs)?;
         let graph = Arc::new(topo.graph.clone());
         Ok(ScenarioRunner {
             scenario,
@@ -378,77 +378,6 @@ impl ScenarioRunner {
             embeddings: epochs.iter().map(|e| Arc::clone(&e.embedding)).collect(),
             rebuild_ns: epochs.iter().map(|e| e.build_ns).collect(),
         }))
-    }
-
-    /// Resolves the fault plan for a multi-epoch timeline: explicit node
-    /// lists and drop/crash entries are epoch-independent; every disc jam
-    /// (moving or parked — the *nodes* move either way) compiles to one
-    /// window per overlapped epoch, resolved against that epoch's
-    /// embedding at the clipped window's opening round. Jam transitions
-    /// are edge-triggered on the per-round mask, so contiguous same-set
-    /// windows are indistinguishable from one long window.
-    fn resolve_faults_per_epoch(
-        scenario: &Scenario,
-        m: &MobilityState,
-    ) -> Result<FaultPlan, ScenarioError> {
-        let mut plan = FaultPlan::none();
-        for c in &scenario.faults.crashes {
-            plan = if c.restart {
-                plan.with_crash_restart(NodeId(c.node), c.down_from, c.up_at)
-            } else {
-                plan.with_crash(NodeId(c.node), c.down_from, c.up_at)
-            };
-        }
-        let epochs = m.timeline.num_epochs();
-        for j in &scenario.faults.jams {
-            let radius = match &j.region {
-                RegionSpec::Nodes { nodes } => {
-                    plan = plan.with_jam(
-                        nodes.iter().map(|&v| NodeId(v)).collect(),
-                        j.from,
-                        j.to,
-                    );
-                    continue;
-                }
-                RegionSpec::Disc { radius, .. } => *radius,
-            };
-            let mut hit_any = false;
-            for e in 0..epochs {
-                let start = m.timeline.epoch_start(e);
-                let end = if e + 1 < epochs {
-                    m.timeline.epoch_start(e + 1) - 1
-                } else {
-                    u64::MAX
-                };
-                let (lo, hi) = (j.from.max(start), j.to.min(end));
-                if lo > hi {
-                    continue;
-                }
-                let center = j.center_at(lo).expect("disc region has a center");
-                let emb = &m.embeddings[e];
-                let nodes: Vec<NodeId> = (0..emb.len())
-                    .filter(|&v| emb.position(v).distance(&center) <= radius)
-                    .map(NodeId)
-                    .collect();
-                if nodes.is_empty() {
-                    continue;
-                }
-                hit_any = true;
-                plan = plan.with_jam(nodes, lo, hi);
-            }
-            if !hit_any {
-                return Err(ScenarioError::Invalid(format!(
-                    "faults: jam window [{}, {}] resolves to no vertices in any \
-                     epoch (region {:?} with velocity ({}, {}) misses every \
-                     snapshot of the moving topology)",
-                    j.from, j.to, j.region, j.vx, j.vy
-                )));
-            }
-        }
-        for d in &scenario.faults.drops {
-            plan = plan.with_drop_burst(d.from, d.to, d.p);
-        }
-        Ok(plan)
     }
 
     /// Shards each trial engine's reception resolution across `shards`

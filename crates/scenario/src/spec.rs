@@ -11,11 +11,13 @@
 //! simulation runs, so a `Scenario` accepted by the runner never panics
 //! inside a topology generator or the engine's fault-plan check.
 
+use local_broadcast::LbConfig;
 use radio_sim::fault::FaultPlan;
 use radio_sim::geometry::{Embedding, Point};
 use radio_sim::graph::NodeId;
 use radio_sim::scheduler::{self, AdaptiveScheduler, LinkScheduler};
-use radio_sim::topology::{self, GreyKind, Topology};
+use radio_sim::topology::{self, Topology};
+use seed_agreement::SeedConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -405,7 +407,7 @@ impl TopologySpec {
             TopologySpec::GreySandwich { reliable, grey, r } => {
                 topology::grey_sandwich(reliable, grey, r)
             }
-            TopologySpec::PumpArena { reliable, grey } => pump_arena(reliable, grey),
+            TopologySpec::PumpArena { reliable, grey } => topology::pump_arena(reliable, grey),
             TopologySpec::TwoTier {
                 core,
                 periphery,
@@ -447,28 +449,6 @@ impl TopologySpec {
             }
         }
     }
-}
-
-/// The E7 arena (receiver + reliable arc + grey ring + remote clique),
-/// re-expressed here so scenarios can name it as a family.
-fn pump_arena(reliable: usize, grey: usize) -> Topology {
-    let r = 2.0;
-    let mut pts = vec![Point::new(0.0, 0.0)];
-    for i in 0..reliable {
-        let a = 0.5 * (i as f64) / reliable.max(1) as f64;
-        pts.push(Point::new(0.8 * a.cos(), 0.8 * a.sin()));
-    }
-    let ring = 1.5;
-    for i in 0..grey {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / grey.max(1) as f64;
-        pts.push(Point::new(ring * a.cos(), ring * a.sin()));
-    }
-    let clique = grey.max(4);
-    for i in 0..clique {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / clique as f64;
-        pts.push(Point::new(100.0 + 0.49 * a.cos(), 0.49 * a.sin()));
-    }
-    topology::from_embedding(Embedding::new(pts), r, GreyKind::Unreliable)
 }
 
 // ---------------------------------------------------------------------------
@@ -661,22 +641,6 @@ pub enum RegionSpec {
     },
 }
 
-impl RegionSpec {
-    /// Resolves the region to a concrete vertex list.
-    pub fn resolve(&self, topo: &Topology) -> Vec<NodeId> {
-        match self {
-            RegionSpec::Nodes { nodes } => nodes.iter().map(|&v| NodeId(v)).collect(),
-            RegionSpec::Disc { x, y, radius } => {
-                let c = Point::new(*x, *y);
-                (0..topo.graph.len())
-                    .filter(|&v| topo.embedding.position(v).distance(&c) <= *radius)
-                    .map(NodeId)
-                    .collect()
-            }
-        }
-    }
-}
-
 /// A crash/recover entry in the scenario's fault plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrashSpec {
@@ -776,17 +740,26 @@ impl FaultPlanSpec {
         self.crashes.is_empty() && self.jams.is_empty() && self.drops.is_empty()
     }
 
-    /// Resolves regions and converts into the engine's fault plan.
+    /// Compiles the plan into the engine's fault plan over the geometry
+    /// epochs a trial runs through, each given as `(first round,
+    /// embedding)` — a static scenario is the one epoch `(1, embedding)`.
+    ///
+    /// Crashes, drop bursts and explicit node-list jams are
+    /// epoch-independent. Every disc jam (moving or parked — the *nodes*
+    /// move either way) compiles to one window per overlapped epoch,
+    /// resolved against that epoch's embedding at the clipped window's
+    /// opening round. Jam transitions are edge-triggered on the
+    /// per-round mask, so contiguous same-set windows are
+    /// indistinguishable from one long window.
     ///
     /// # Errors
     ///
-    /// Rejects a jam window whose region resolves to **no vertices** of
-    /// the built topology (e.g. a disc whose finite center lies outside
-    /// the arena): such a window would silently no-op at runtime while
-    /// the scenario claims to jam. Structural errors (out-of-range
-    /// vertices, malformed windows) are caught earlier by
-    /// [`Scenario::validate`].
-    pub fn resolve(&self, topo: &Topology) -> Result<FaultPlan, ScenarioError> {
+    /// Rejects a disc jam that resolves to **no vertices** in every
+    /// epoch (e.g. a disc whose finite center lies outside the arena):
+    /// such a window would silently no-op at runtime while the scenario
+    /// claims to jam. Structural errors (out-of-range vertices,
+    /// malformed windows) are caught earlier by [`Scenario::validate`].
+    pub fn resolve(&self, epochs: &[(u64, &Embedding)]) -> Result<FaultPlan, ScenarioError> {
         let mut plan = FaultPlan::none();
         for c in &self.crashes {
             plan = if c.restart {
@@ -796,15 +769,38 @@ impl FaultPlanSpec {
             };
         }
         for j in &self.jams {
-            let nodes = j.region.resolve(topo);
-            if nodes.is_empty() {
+            let radius = match &j.region {
+                RegionSpec::Nodes { nodes } => {
+                    plan = plan.with_jam(nodes.iter().map(|&v| NodeId(v)).collect(), j.from, j.to);
+                    continue;
+                }
+                RegionSpec::Disc { radius, .. } => *radius,
+            };
+            let mut hit_any = false;
+            for (e, &(start, emb)) in epochs.iter().enumerate() {
+                let end = epochs.get(e + 1).map_or(u64::MAX, |&(next, _)| next - 1);
+                let (lo, hi) = (j.from.max(start), j.to.min(end));
+                if lo > hi {
+                    continue;
+                }
+                let center = j.center_at(lo).expect("disc region has a center");
+                let nodes: Vec<NodeId> = (0..emb.len())
+                    .filter(|&v| emb.position(v).distance(&center) <= radius)
+                    .map(NodeId)
+                    .collect();
+                if nodes.is_empty() {
+                    continue;
+                }
+                hit_any = true;
+                plan = plan.with_jam(nodes, lo, hi);
+            }
+            if !hit_any {
                 return Err(invalid(format!(
-                    "faults: jam window [{}, {}] resolves to no vertices \
-                     (region {:?} misses the topology entirely)",
-                    j.from, j.to, j.region
+                    "faults: jam window [{}, {}] resolves to no vertices (region {:?} with \
+                     velocity ({}, {}) misses the topology in every epoch)",
+                    j.from, j.to, j.region, j.vx, j.vy
                 )));
             }
-            plan = plan.with_jam(nodes, j.from, j.to);
         }
         for d in &self.drops {
             plan = plan.with_drop_burst(d.from, d.to, d.p);
@@ -978,12 +974,15 @@ impl WorkloadSpec {
     }
 
     fn validate(&self, n: usize) -> Result<(), ScenarioError> {
-        let check_eps = |eps: f64| {
-            if eps > 0.0 && eps < 1.0 {
+        // Each bound is the one the algorithm's config constructor
+        // asserts, so a file that validates never panics the run.
+        let check_eps = |eps: f64, max: f64| {
+            if eps > 0.0 && eps <= max {
                 Ok(())
             } else {
                 Err(invalid(format!(
-                    "workload: epsilon1 must be in (0, 1), got {eps}"
+                    "workload: {} epsilon1 must be in (0, {max}], got {eps}",
+                    self.name()
                 )))
             }
         };
@@ -999,9 +998,11 @@ impl WorkloadSpec {
                 epsilon1,
                 seed_bits,
             } => {
-                check_eps(epsilon1)?;
-                if seed_bits == 0 {
-                    return Err(invalid("workload: seed_bits must be >= 1"));
+                check_eps(epsilon1, SeedConfig::MAX_EPSILON1)?;
+                if seed_bits == 0 || seed_bits > MAX_SEED_BITS {
+                    return Err(invalid(format!(
+                        "workload: seed_bits must be in [1, {MAX_SEED_BITS}], got {seed_bits}"
+                    )));
                 }
                 Ok(())
             }
@@ -1010,7 +1011,7 @@ impl WorkloadSpec {
                 ref senders,
                 messages_per_sender,
             } => {
-                check_eps(epsilon1)?;
+                check_eps(epsilon1, LbConfig::MAX_EPSILON1)?;
                 if senders.is_empty() {
                     return Err(invalid("workload: local broadcast needs >= 1 sender"));
                 }
@@ -1047,7 +1048,7 @@ impl WorkloadSpec {
                 epsilon1,
                 ref sources,
             } => {
-                check_eps(epsilon1)?;
+                check_eps(epsilon1, LbConfig::MAX_EPSILON1)?;
                 if sources.is_empty() {
                     return Err(invalid("workload: amac flood needs >= 1 source"));
                 }
@@ -1094,6 +1095,11 @@ pub const MAX_STOP_ROUNDS: u64 = 50_000_000;
 /// Upper bound on explicit phase budgets (phases are multiplied by the
 /// workload's phase length at run time).
 pub const MAX_STOP_PHASES: u64 = 1_000_000;
+
+/// Upper bound on a seed-agreement workload's seed length in bits —
+/// far above any seed the repository runs (8–64 bits), small enough
+/// that per-node seed buffers stay bounded.
+pub const MAX_SEED_BITS: usize = 4096;
 
 impl StopSpec {
     /// The explicit round horizon, when the stop condition names one
@@ -1878,13 +1884,22 @@ mod tests {
             r: 2.0,
         }
         .build();
-        let region = RegionSpec::Disc {
-            x: 2.0,
-            y: 0.0,
-            radius: 1.1,
+        let faults = FaultPlanSpec {
+            jams: vec![JamSpec {
+                region: RegionSpec::Disc {
+                    x: 2.0,
+                    y: 0.0,
+                    radius: 1.1,
+                },
+                from: 1,
+                to: 9,
+                vx: 0.0,
+                vy: 0.0,
+            }],
+            ..FaultPlanSpec::default()
         };
-        let nodes = region.resolve(&topo);
-        assert_eq!(nodes, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let plan = faults.resolve(&[(1, &topo.embedding)]).unwrap();
+        assert_eq!(plan.jams[0].nodes, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]

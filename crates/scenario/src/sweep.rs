@@ -18,23 +18,27 @@
 //! --check` re-measures, so every checked-in curve is regression-gated
 //! by the same machinery as single scenarios.
 //!
-//! The checked-in sweep registry ([`sweeps`]) realizes the ROADMAP
-//! follow-ons: `churn-knee` (crash/recover-rate grid over the `churn`
+//! The sweep registry ([`sweeps`]) is the files under
+//! `scenarios/sweeps/`, embedded at compile time and parsed once per
+//! process: `churn-knee` (crash/recover-rate grid over the `churn`
 //! base — the §4.2 preamble-amortization knee), `loss-grid`
 //! (`drops.p` × burst length over `drop-burst`, `LBAlg` vs. the Decay
-//! baseline), and `scale-curve` (node count up to 50k × link-inclusion
-//! probability on a constant-density deployment — the scale-out
-//! throughput curve the bucketed topology builder and sharded engine
-//! make practical).
+//! baseline), `mobility-knee` (geometry-epoch length × node speed over
+//! `mobility` — the epoch-staleness quantization curve), and
+//! `scale-curve` (node count up to 50k × link-inclusion probability on
+//! a constant-density deployment — the scale-out throughput curve the
+//! bucketed topology builder and sharded engine make practical).
+//! `docs/scenarios.md` explains how each base is re-aimed.
 
 use crate::campaign::{Campaign, CampaignReport, MeasuredMetrics};
 use crate::spec::{
-    AdversarySpec, CrashSpec, DropSpec, JamSpec, RegionSpec, Scenario, ScenarioError, StopSpec,
-    TopologySpec, WorkloadSpec, MAX_STOP_ROUNDS,
+    AdversarySpec, CrashSpec, DropSpec, JamSpec, Scenario, ScenarioError, StopSpec, TopologySpec,
+    WorkloadSpec, MAX_STOP_ROUNDS,
 };
 use analysis::report::markdown_report;
 use analysis::table::{fnum, Table};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::Invalid(msg.into())
@@ -48,6 +52,11 @@ pub const MAX_SWEEP_POINTS: usize = 1024;
 /// Most axes a sweep may have (derived names and pivot tables are
 /// designed for at most a 3-dimensional grid).
 pub const MAX_SWEEP_AXES: usize = 3;
+
+/// Most crash windows one `Churn` override may generate (nodes × cycles)
+/// — checked before the list is built, so a one-round period over a
+/// long window is refused instead of allocating millions of entries.
+pub const MAX_CHURN_WINDOWS: u64 = 100_000;
 
 // ---------------------------------------------------------------------------
 // Overrides
@@ -277,6 +286,15 @@ impl OverrideSpec {
                     return Err(invalid(
                         "sweep: churn needs >= 1 node (use down = 0 for a no-churn point)",
                     ));
+                }
+                let cycles = (until - start) / period + 1;
+                let windows = (nodes.len() as u64).saturating_mul(cycles);
+                if *down > 0 && windows > MAX_CHURN_WINDOWS {
+                    return Err(invalid(format!(
+                        "sweep: churn would generate {windows} crash windows ({} node(s) × \
+                         {cycles} cycle(s)), more than the cap of {MAX_CHURN_WINDOWS}",
+                        nodes.len()
+                    )));
                 }
                 let mut crashes = Vec::new();
                 if *down > 0 {
@@ -1079,318 +1097,45 @@ impl SweepReport {
 // Sweep registry
 // ---------------------------------------------------------------------------
 
-/// All registered sweep families, realizing the ROADMAP follow-ons.
+/// The sweep files, in registry order. Each is self-contained: its base
+/// scenario is written inline, not referenced by registry name.
+const FILES: &[&str] = &[
+    include_str!("../../../scenarios/sweeps/churn_knee.json"),
+    include_str!("../../../scenarios/sweeps/loss_grid.json"),
+    include_str!("../../../scenarios/sweeps/mobility_knee.json"),
+    include_str!("../../../scenarios/sweeps/scale_curve.json"),
+];
+
+/// The parsed sweep registry, built on first use.
+fn registry() -> &'static [SweepSpec] {
+    static REGISTRY: OnceLock<Vec<SweepSpec>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        FILES
+            .iter()
+            .map(|json| {
+                SweepSpec::from_json(json)
+                    .unwrap_or_else(|e| panic!("embedded sweep file is invalid: {e}"))
+            })
+            .collect()
+    })
+}
+
+/// All registered sweep families, in registry order.
 pub fn sweeps() -> Vec<SweepSpec> {
-    vec![churn_knee(), loss_grid(), mobility_knee(), scale_curve()]
+    registry().to_vec()
 }
 
 /// The registered sweep names, in registry order.
 pub fn sweep_names() -> Vec<String> {
-    sweeps().into_iter().map(|s| s.name).collect()
+    registry().iter().map(|s| s.name.clone()).collect()
 }
 
 /// Looks up a sweep by name (case-insensitive).
 pub fn find_sweep(name: &str) -> Option<SweepSpec> {
-    sweeps()
-        .into_iter()
+    registry()
+        .iter()
         .find(|s| s.name.eq_ignore_ascii_case(name))
-}
-
-/// The §4.2 churn knee: a crash/recover-rate grid over the `churn`
-/// base. The base is re-aimed at ack latency — a single sender (node
-/// 0), one payload, and a fixed round horizon past `t_ack` — then the
-/// sender plus three interior nodes power-cycle with a fixed 30-round
-/// outage at periods from "off" down to 120 rounds (duty 0 % → 25 %),
-/// crossed with the Bernoulli link-inclusion probability. The sender's
-/// ack slips one phase for every phase end it spends down, so ack
-/// latency as a function of the churn period draws the knee where the
-/// per-phase (preamble-amortized) schedule stops absorbing restarts.
-fn churn_knee() -> SweepSpec {
-    let mut base = crate::registry::find("churn").expect("churn is registered");
-    // One sender, one payload: first-ack latency exists and belongs to
-    // the churned sender. The fixed horizon (36 phases of 126 rounds)
-    // clears the nominal t_ack (24 phases) with room for churn delay.
-    base.workload = WorkloadSpec::LocalBroadcast {
-        epsilon1: 0.25,
-        senders: vec![0],
-        messages_per_sender: 1,
-    };
-    base.stop = StopSpec::Rounds { rounds: 4_536 };
-    let churn = |period: u64, down: u64| OverrideSpec::Churn {
-        nodes: vec![0, 6, 9, 12],
-        period,
-        down,
-        start: 40,
-        until: 4_536,
-        restart: false,
-    };
-    let point = |label: &str, set: Vec<OverrideSpec>| SweepPoint {
-        label: label.into(),
-        set,
-    };
-    SweepSpec {
-        name: "churn-knee".into(),
-        description: "ack latency vs. crash/recover rate on the churn base: the sender \
-                      and three interior grid nodes power-cycle with 30-round outages \
-                      at the given period (off = no churn), across link-inclusion \
-                      probabilities"
-            .into(),
-        base,
-        axes: vec![
-            SweepAxis {
-                axis: "period".into(),
-                points: vec![
-                    point("off", vec![churn(960, 0)]),
-                    point("480", vec![churn(480, 30)]),
-                    point("240", vec![churn(240, 30)]),
-                    point("120", vec![churn(120, 30)]),
-                ],
-            },
-            SweepAxis {
-                axis: "adv".into(),
-                points: vec![
-                    point("0.25", vec![OverrideSpec::AdversaryP { p: 0.25 }]),
-                    point("0.5", vec![OverrideSpec::AdversaryP { p: 0.5 }]),
-                    point("0.9", vec![OverrideSpec::AdversaryP { p: 0.9 }]),
-                ],
-            },
-        ],
-        trials: Some(2),
-        pinned: vec![
-            "churn@period=off,adv=0.5".into(),
-            "churn@period=240,adv=0.5".into(),
-            "churn@period=120,adv=0.5".into(),
-        ],
-    }
-}
-
-/// Loss-burst robustness curves: `drops.p` × burst length over the
-/// `drop-burst` base, `LBAlg` vs. the Decay baseline under identical
-/// bursts — the delivery-latency inflation table. `LBAlg` ack timing
-/// is a fixed schedule and a clique has seven parallel listeners, so
-/// the quantity a loss burst honestly inflates is a **watched single
-/// listener's** first-delivery round: each point stops at node 1's
-/// first `recv` (censored at 1024 rounds), and the curve shows the
-/// geometric retry delay plateauing at the burst end.
-fn loss_grid() -> SweepSpec {
-    let mut base = crate::registry::find("drop-burst").expect("drop-burst is registered");
-    // One payload, and a burst from round 1 so it bites both arms'
-    // first deliveries (the Decay baseline delivers within a few
-    // rounds on a clique; the registry entry's round-30 burst would
-    // never touch it). The axis points override the burst probability
-    // and length at every grid point.
-    base.workload = WorkloadSpec::LocalBroadcast {
-        epsilon1: 0.25,
-        senders: vec![0],
-        messages_per_sender: 1,
-    };
-    base.stop = StopSpec::FirstDeliveryAt {
-        node: 1,
-        horizon_rounds: 1_024,
-    };
-    base.faults.drops = vec![DropSpec {
-        from: 1,
-        to: 61,
-        p: 0.5,
-    }];
-    let point = |label: &str, set: Vec<OverrideSpec>| SweepPoint {
-        label: label.into(),
-        set,
-    };
-    SweepSpec {
-        name: "loss-grid".into(),
-        description: "loss-burst robustness: drop probability × burst length (from \
-                      round 1) on the drop-burst base, LBAlg vs. the Decay baseline \
-                      under identical bursts; each point measures the watched \
-                      listener's first-delivery round"
-            .into(),
-        base,
-        axes: vec![
-            SweepAxis {
-                axis: "p".into(),
-                points: vec![
-                    point("0.5", vec![OverrideSpec::DropP { p: 0.5 }]),
-                    point("0.9", vec![OverrideSpec::DropP { p: 0.9 }]),
-                    point("0.99", vec![OverrideSpec::DropP { p: 0.99 }]),
-                ],
-            },
-            SweepAxis {
-                axis: "burst".into(),
-                points: vec![
-                    point("16", vec![OverrideSpec::DropLen { len: 16 }]),
-                    point("61", vec![OverrideSpec::DropLen { len: 61 }]),
-                    point("128", vec![OverrideSpec::DropLen { len: 128 }]),
-                ],
-            },
-            SweepAxis {
-                axis: "alg".into(),
-                points: vec![
-                    point("lb", vec![]),
-                    point(
-                        "decay",
-                        vec![OverrideSpec::Workload {
-                            workload: WorkloadSpec::Decay { senders: vec![0] },
-                        }],
-                    ),
-                ],
-            },
-        ],
-        trials: None,
-        pinned: vec![
-            "drop-burst@p=0.5,burst=16,alg=lb".into(),
-            "drop-burst@p=0.9,burst=61,alg=lb".into(),
-            "drop-burst@p=0.9,burst=61,alg=decay".into(),
-            "drop-burst@p=0.99,burst=128,alg=lb".into(),
-        ],
-    }
-}
-
-/// The dynamic-geometry knee: delivery latency vs. **geometry-epoch
-/// length** on the `mobility` base. The base is re-aimed at a watched
-/// listener: a streaming sender, a whole-arena jam disc that sweeps
-/// rightward and progressively uncovers the deployment, and a
-/// `FirstDeliveryAt` stop on an interior node. The runner re-resolves
-/// the disc's node membership only at epoch boundaries, so the watched
-/// node stays silenced until the **first epoch opening after the disc
-/// has physically left it** — delivery latency quantizes up to the
-/// epoch grid, and the curve rises monotonically with the epoch
-/// length. The speed axis puts the parked deployment (`0`, the pinned
-/// monotone curve) next to drifting ones: waypoint motion perturbs
-/// *which* round the disc clears each node but not the quantization
-/// story.
-fn mobility_knee() -> SweepSpec {
-    let mut base = crate::registry::find("mobility").expect("mobility is registered");
-    base.workload = WorkloadSpec::LocalBroadcast {
-        epsilon1: 0.25,
-        senders: vec![0],
-        messages_per_sender: 1_000,
-    };
-    base.stop = StopSpec::FirstDeliveryAt {
-        node: 17,
-        horizon_rounds: 1_200,
-    };
-    // One disc over the whole arena, drifting right: every node starts
-    // jammed and is physically uncovered once the center has moved ~6
-    // units past it. Node 17 is a reliable G-neighbor of the sender in
-    // the parked seed-41 embedding, and at this drift speed its
-    // clearance round (~501) quantizes to a *distinct* epoch boundary
-    // for every swept epoch length: 541 / 601 / 721 / 961.
-    base.faults.jams = vec![JamSpec {
-        region: RegionSpec::Disc {
-            x: 2.0,
-            y: 2.0,
-            radius: 6.0,
-        },
-        from: 1,
-        to: 1_200,
-        vx: 0.011,
-        vy: 0.0,
-    }];
-    let epoch = |label: &str, rounds: u64| SweepPoint {
-        label: label.into(),
-        set: vec![OverrideSpec::EpochRounds {
-            epoch_rounds: rounds,
-        }],
-    };
-    let speed = |label: &str, v: f64| SweepPoint {
-        label: label.into(),
-        set: vec![OverrideSpec::MobilitySpeed { speed: v }],
-    };
-    SweepSpec {
-        name: "mobility-knee".into(),
-        description: "delivery latency vs. geometry-epoch length on the mobility base: \
-                      a whole-arena jam disc sweeps rightward while the watched \
-                      listener's unjam round quantizes up to the next epoch boundary, \
-                      across random-waypoint node speeds (0 = parked deployment)"
-            .into(),
-        base,
-        axes: vec![
-            SweepAxis {
-                axis: "epoch".into(),
-                points: vec![
-                    epoch("60", 60),
-                    epoch("120", 120),
-                    epoch("240", 240),
-                    epoch("480", 480),
-                ],
-            },
-            SweepAxis {
-                axis: "speed".into(),
-                points: vec![
-                    speed("0", 0.0),
-                    speed("0.002", 0.002),
-                    speed("0.01", 0.01),
-                ],
-            },
-        ],
-        trials: Some(2),
-        pinned: vec![
-            "mobility@epoch=60,speed=0".into(),
-            "mobility@epoch=120,speed=0".into(),
-            "mobility@epoch=240,speed=0".into(),
-            "mobility@epoch=480,speed=0".into(),
-        ],
-    }
-}
-
-/// The scale-out curve: node count × link-inclusion probability over
-/// the `e9` constant-density deployment, re-aimed at wall-clock scale.
-/// Constant density keeps Δ (and so every per-neighborhood quantity)
-/// flat as `n` grows — the honest base for a scale curve, because each
-/// point's cost is linear in `n` while the measured local behavior
-/// stays comparable across the axis. The workload is the Decay flood
-/// with a short fixed horizon: the `LBAlg` preamble runs thousands of
-/// rounds before the first ack, which would turn the 50k-node points
-/// into minutes while measuring the same locality story. Largest point:
-/// 50,000 nodes — the grid the bucketed RGG builder and sharded
-/// reception engine exist to make routine.
-fn scale_curve() -> SweepSpec {
-    let mut base = crate::registry::find("e9").expect("e9 is registered");
-    base.name = "scale".into();
-    base.description = "constant-density deployment rescaled along the node-count axis; \
-                        one Decay flood from node 0 over a fixed 24-round horizon"
-        .into();
-    base.workload = WorkloadSpec::Decay { senders: vec![0] };
-    base.stop = StopSpec::Rounds { rounds: 24 };
-    let size = |label: &str, n: usize| SweepPoint {
-        label: label.into(),
-        set: vec![OverrideSpec::Size { n }],
-    };
-    let adv = |label: &str, p: f64| SweepPoint {
-        label: label.into(),
-        set: vec![OverrideSpec::AdversaryP { p }],
-    };
-    SweepSpec {
-        name: "scale-curve".into(),
-        description: "scale-out throughput: node count (1k → 50k) × link-inclusion \
-                      probability on a constant-density deployment; per-point cost \
-                      grows linearly in n while per-neighborhood behavior stays flat"
-            .into(),
-        base,
-        axes: vec![
-            SweepAxis {
-                axis: "n".into(),
-                points: vec![
-                    size("1000", 1_000),
-                    size("2000", 2_000),
-                    size("5000", 5_000),
-                    size("10000", 10_000),
-                    size("20000", 20_000),
-                    size("50000", 50_000),
-                ],
-            },
-            SweepAxis {
-                axis: "adv".into(),
-                points: vec![adv("0.5", 0.5), adv("0.9", 0.9)],
-            },
-        ],
-        trials: Some(2),
-        pinned: vec![
-            "scale@n=1000,adv=0.5".into(),
-            "scale@n=10000,adv=0.5".into(),
-            "scale@n=50000,adv=0.5".into(),
-        ],
-    }
+        .cloned()
 }
 
 #[cfg(test)]
@@ -1687,7 +1432,8 @@ mod tests {
 
     #[test]
     fn scale_curve_reaches_fifty_thousand_nodes() {
-        let grid = scale_curve().expand().unwrap();
+        let spec = find_sweep("scale-curve").unwrap();
+        let grid = spec.expand().unwrap();
         let max_n = grid
             .points()
             .iter()
@@ -1710,9 +1456,7 @@ mod tests {
         }
         // The pinned subset covers the scale extremes the BENCH scale
         // cases time.
-        assert!(scale_curve()
-            .pinned
-            .contains(&"scale@n=50000,adv=0.5".to_string()));
+        assert!(spec.pinned.contains(&"scale@n=50000,adv=0.5".to_string()));
     }
 
     #[test]

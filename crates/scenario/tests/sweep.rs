@@ -8,8 +8,8 @@
 //! * A sweep campaign's outcomes are identical to running each
 //!   expanded point standalone — same seeds, counts, and channel
 //!   totals, and a byte-identical markdown rendering.
-//! * The checked-in `scenarios/sweeps/*.json` files stay in sync with
-//!   the sweep registry, and the pinned golden files exist.
+//! * Every pinned point of the sweep registry has a blessed golden
+//!   file.
 
 use proptest::prelude::*;
 use scenario::prelude::*;
@@ -189,27 +189,6 @@ fn sweep_report_is_byte_identical_across_thread_counts() {
     assert!(!one.is_empty());
     assert_eq!(one, md(4), "thread count changed the sweep report");
     assert_eq!(one, md(2), "re-run changed the sweep report");
-}
-
-#[test]
-fn checked_in_sweep_files_match_the_registry() {
-    for (file, name) in [
-        ("scenarios/sweeps/churn_knee.json", "churn-knee"),
-        ("scenarios/sweeps/loss_grid.json", "loss-grid"),
-        ("scenarios/sweeps/mobility_knee.json", "mobility-knee"),
-        ("scenarios/sweeps/scale_curve.json", "scale-curve"),
-    ] {
-        let data = std::fs::read_to_string(repo_dir(file))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        let from_file = SweepSpec::from_json(&data)
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        let registered = sweep::find_sweep(name).unwrap();
-        assert_eq!(
-            from_file, registered,
-            "{file} diverged from the sweep registry; regenerate with \
-             `cargo run --release -p bench --bin scenario -- sweep {name} --export {file}`"
-        );
-    }
 }
 
 #[test]

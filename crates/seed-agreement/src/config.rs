@@ -34,6 +34,10 @@ pub struct SeedConfig {
 }
 
 impl SeedConfig {
+    /// The largest error parameter `SeedAlg` accepts: `ε₁ ≤ 1/4` keeps
+    /// `log₂(1/ε₁) ≥ 2`, so a leader transmits with probability ≤ 1/2.
+    pub const MAX_EPSILON1: f64 = 0.25;
+
     /// A practically executable calibration (`c₄ = 4`), keeping the
     /// paper's functional forms.
     ///
@@ -51,7 +55,7 @@ impl SeedConfig {
     /// Panics unless `0 < ε₁ ≤ 1/4`, `seed_bits > 0`, and `c4 > 0`.
     pub fn with_c4(epsilon1: f64, seed_bits: usize, c4: f64) -> Self {
         assert!(
-            epsilon1 > 0.0 && epsilon1 <= 0.25,
+            epsilon1 > 0.0 && epsilon1 <= Self::MAX_EPSILON1,
             "SeedAlg requires 0 < ε₁ ≤ 1/4, got {epsilon1}"
         );
         assert!(seed_bits > 0, "seed domain must be non-trivial");
