@@ -107,11 +107,6 @@ impl FixedScheduleProcess {
     pub fn is_sending(&self) -> bool {
         self.sending.is_some()
     }
-
-    /// The resolved per-message sending budget (after initialization).
-    pub fn ack_budget(&self) -> u64 {
-        self.resolved_ack_after
-    }
 }
 
 impl Process for FixedScheduleProcess {

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! scenario --list
-//! scenario <name | file.json> [--trials N] [--seed S] [--shards N]
+//! scenario <name | file.json> [--trials N] [--seed S]
 //!          [--transport sim|mock-net]  # substrate override (see docs/transport.md)
 //!          [--save-trace PATH]   # trial 0's full trace as JSON
 //!          [--export PATH]       # write the scenario itself as JSON
@@ -18,7 +18,7 @@
 //!          [--check]             # diff against blessed metrics; exit 1 on drift
 //!          [--bless]             # regenerate the golden files
 //!          [--telemetry PATH]    # JSONL run journal
-//!          [--trials N] [--threads N] [--shards N]
+//!          [--trials N] [--threads N]
 //! scenario sweep <name | sweep.json>
 //!          [--out PATH]          # sweep markdown report (grid + curve pivots)
 //!          [--csv PATH]          # long-format grid table as CSV
@@ -28,7 +28,7 @@
 //!          [--check]             # golden-gate the pinned points; exit 1 on drift
 //!          [--bless]             # regenerate the pinned points' golden files
 //!          [--telemetry PATH]    # JSONL run journal
-//!          [--trials N] [--threads N] [--shards N]
+//!          [--trials N] [--threads N]
 //! scenario search <preset | search.json>
 //!          [--budget N]          # candidate evaluations (overrides the spec)
 //!          [--seed S]            # search seed (overrides the spec)
@@ -51,13 +51,6 @@
 //! reports, and golden checks are byte-identical with or without
 //! `--telemetry` (report files gain a perf footer, appended at write
 //! time only).
-//!
-//! `--shards N` splits each trial engine's reception resolution across
-//! N worker threads. It is purely a wall-clock knob — traces, reports,
-//! and golden checks are byte-identical for every shard count — and it
-//! composes with `--threads`: trial fan-out fills the cores when there
-//! are many trials, sharding fills them when single trials are huge
-//! (the 50k-node `scale-curve` points).
 //!
 //! Examples:
 //!
@@ -96,13 +89,13 @@ const GOLDEN_DIR: &str = "scenarios/golden";
 
 fn usage() -> String {
     "usage: scenario --list\n       \
-     scenario <name | file.json> [--trials N] [--seed S] [--shards N] \
+     scenario <name | file.json> [--trials N] [--seed S] \
      [--transport sim|mock-net] [--save-trace PATH] [--export PATH] [--telemetry PATH]\n       \
      scenario campaign [name | set.json | scenario.json ...] [--out PATH] [--golden DIR] \
-     [--check | --bless] [--telemetry PATH] [--trials N] [--threads N] [--shards N]\n       \
+     [--check | --bless] [--telemetry PATH] [--trials N] [--threads N]\n       \
      scenario sweep <name | sweep.json> [--out PATH] [--csv PATH] [--plot] \
      [--export PATH] [--golden DIR] [--check | --bless] [--telemetry PATH] \
-     [--trials N] [--threads N] [--shards N]\n       \
+     [--trials N] [--threads N]\n       \
      scenario search <preset | search.json> [--budget N] [--seed S] \
      [--objective mean-ack|p99-ack|spec-violations] [--strategy random|evolve] \
      [--trials N] [--out DIR] [--top K] [--archive PATH] [--threads N]\n       \
@@ -204,8 +197,7 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
     let positionals = parse_positionals(
         args,
         &[
-            "--trials", "--seed", "--shards", "--transport", "--save-trace", "--export",
-            "--telemetry",
+            "--trials", "--seed", "--transport", "--save-trace", "--export", "--telemetry",
         ],
         &[],
     )?;
@@ -243,11 +235,7 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
 
     // Validate (ScenarioRunner::new) before exporting, so --export can
     // never leave behind a file the loader itself would reject.
-    let mut runner = ScenarioRunner::new(scenario).map_err(|e| e.to_string())?;
-    let shards = parse_count(args, "--shards")?;
-    if let Some(shards) = shards {
-        runner = runner.shards(shards);
-    }
+    let runner = ScenarioRunner::new(scenario).map_err(|e| e.to_string())?;
     if let Some(path) = arg_value(args, "--export") {
         std::fs::write(&path, runner.scenario().to_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -282,11 +270,8 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
         // Observed run: a one-scenario campaign drives the heartbeat
         // and fills the telemetry. The report is identical to a plain
         // run — telemetry only observes.
-        let mut campaign =
+        let campaign =
             Campaign::new(vec![runner.scenario().clone()]).map_err(|e| e.to_string())?;
-        if let Some(s) = shards {
-            campaign = campaign.shards(s);
-        }
         let hb = Heartbeat::new(&runner.scenario().name, 1, runner.scenario().trials as u64);
         let (creport, telem) = campaign.run_observed(Some(&hb));
         hb.finish();
@@ -415,7 +400,7 @@ fn check_goldens(
 fn run_campaign(args: &[String]) -> Result<ExitCode, String> {
     let selectors = parse_positionals(
         args,
-        &["--trials", "--threads", "--shards", "--golden", "--out", "--telemetry"],
+        &["--trials", "--threads", "--golden", "--out", "--telemetry"],
         &["--check", "--bless"],
     )?;
     let check = args.iter().any(|a| a == "--check");
@@ -449,9 +434,6 @@ fn run_campaign(args: &[String]) -> Result<ExitCode, String> {
     let mut campaign = Campaign::new(scenarios).map_err(|e| e.to_string())?;
     if let Some(t) = threads {
         campaign = campaign.threads(t);
-    }
-    if let Some(s) = parse_count(args, "--shards")? {
-        campaign = campaign.shards(s);
     }
 
     let total: usize = campaign.scenarios().map(|s| s.trials).sum();
@@ -508,8 +490,7 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
     let positionals = parse_positionals(
         args,
         &[
-            "--trials", "--threads", "--shards", "--golden", "--out", "--csv", "--export",
-            "--telemetry",
+            "--trials", "--threads", "--golden", "--out", "--csv", "--export", "--telemetry",
         ],
         &["--check", "--bless", "--plot"],
     )?;
@@ -558,9 +539,6 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
     let mut campaign = grid.campaign().map_err(|e| e.to_string())?;
     if let Some(t) = threads {
         campaign = campaign.threads(t);
-    }
-    if let Some(s) = parse_count(args, "--shards")? {
-        campaign = campaign.shards(s);
     }
     let total: usize = campaign.scenarios().map(|s| s.trials).sum();
     eprintln!(

@@ -93,3 +93,89 @@ fn churn_sweeps_past_the_window_cap_are_refused_before_expanding() {
     let out = run(env!("CARGO_BIN_EXE_scenario"), &["sweep", &sweep]);
     assert_refused(&out, 2, "200000000 crash windows", "churn");
 }
+
+#[test]
+fn shards_is_an_unknown_flag_in_every_run_mode() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    for args in [
+        &["e5", "--shards", "2"][..],
+        &["campaign", "e5", "--shards", "2"],
+        &["sweep", "scale-curve", "--shards", "2"],
+    ] {
+        assert_refused(
+            &run(scenario, args),
+            2,
+            "unknown flag --shards",
+            &format!("{args:?}"),
+        );
+    }
+}
+
+#[test]
+fn trial_counts_past_the_cap_are_refused_before_allocating() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let e5_file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/e5.json");
+    let e5 = std::fs::read_to_string(e5_file).unwrap();
+    assert!(e5.contains("\"trials\": 6,"));
+    let path = write_tmp(
+        "e5-trials.json",
+        &e5.replace("\"trials\": 6,", "\"trials\": 10000000,"),
+    );
+    let per_scenario = "trials must be in [1, 100000], got";
+    assert_refused(
+        &run(scenario, &["validate", &path]),
+        1,
+        per_scenario,
+        "validate",
+    );
+    assert_refused(&run(scenario, &[&path]), 2, per_scenario, "file run");
+    for args in [
+        &["e5", "--trials", "10000000"][..],
+        &["sweep", "scale-curve", "--trials", "1000000"],
+    ] {
+        assert_refused(&run(scenario, args), 2, per_scenario, &format!("{args:?}"));
+    }
+    // The campaign's sum is checked before any scenario is built.
+    for args in [
+        &["campaign", "--trials", "1000000"][..],
+        &["campaign", "e2", "e5", "--trials", "60000"],
+    ] {
+        let out = run(scenario, args);
+        assert_refused(&out, 2, "more than the cap of 100000", &format!("{args:?}"));
+    }
+}
+
+#[test]
+fn adversaries_that_would_crash_the_run_are_field_errors() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let decay = r#"{"Decay": {"senders": [0]}}"#;
+    for (file, adversary, reason) in [
+        (
+            "alternating-overflow",
+            r#"{"Alternating": {"high": 18446744073709551615, "low": 1}}"#,
+            "alternating cycle high + low overflows u64",
+        ),
+        (
+            "pump-log-delta",
+            r#"{"MaskedPumpAgainstDecay": {"log_delta": 4000000000, "threshold": 0.5}}"#,
+            "log_delta must be in [1, 64], got 4000000000",
+        ),
+    ] {
+        let data = clique(decay).replace(r#""AllExtraEdges""#, adversary);
+        let path = write_tmp(&format!("{file}.json"), &data);
+        assert_refused(&run(scenario, &["validate", &path]), 1, reason, file);
+        assert_refused(&run(scenario, &[&path]), 2, reason, file);
+        let set = format!(r#"{{"Adversary": {{"adversary": {adversary}}}}}"#);
+        let sweep = write_tmp(&format!("{file}-sweep.json"), &one_point_sweep(&set));
+        assert_refused(&run(scenario, &["sweep", &sweep]), 2, reason, file);
+    }
+}
+
+#[test]
+fn a_repeated_scenario_field_is_refused() {
+    let data = clique(r#"{"Decay": {"senders": [0]}}"#)
+        .replace(r#""trials": 1,"#, r#""trials": 6, "trials": 7,"#);
+    let path = write_tmp("repeated-trials.json", &data);
+    let out = run(env!("CARGO_BIN_EXE_scenario"), &["validate", &path]);
+    assert_refused(&out, 1, "duplicate field `trials`", "repeated trials");
+}

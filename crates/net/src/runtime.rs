@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 /// Everything a cluster needs besides the transport, the processes, the
 /// environment, and the seed: an engine [`Configuration`] without the
-/// channel (its scheduler and shard count configure the simulator's
-/// channel, which a cluster replaces with the transport).
+/// channel (its scheduler configures the simulator's channel, which a
+/// cluster replaces with the transport).
 #[derive(Debug)]
 pub struct ClusterConfig(Configuration);
 

@@ -104,7 +104,7 @@ impl<T, M> TransportChannel<T, M> {
 }
 
 impl<M: Clone + Send, T: Transport<M>> Channel<M> for TransportChannel<T, M> {
-    fn resolve(&mut self, tx: &Transmissions<'_, M>, _shard_busy: Option<&mut [u64]>) {
+    fn resolve(&mut self, tx: &Transmissions<'_, M>) {
         self.actions.clear();
         self.actions.extend(tx.messages.iter().map(|m| match m {
             Some(m) => Action::Transmit(m.clone()),
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn mock_net_zero_delay_matches_sim_on_reliable_links() {
         let g = line4();
-        let mut sim = SimChannel::new(SchedulerBox::Oblivious(Box::new(NoExtraEdges)), 1, 4);
+        let mut sim = SimChannel::new(SchedulerBox::Oblivious(Box::new(NoExtraEdges)), 4);
         let mut mock = TransportChannel::new(MockNetTransport::new(
             g.clone(),
             MockNetConfig {
@@ -379,8 +379,8 @@ mod tests {
                 tx_list: &tx_list,
                 messages: &messages,
             };
-            Channel::<u32>::resolve(&mut sim, &round_tx, None);
-            mock.resolve(&round_tx, None);
+            Channel::<u32>::resolve(&mut sim, &round_tx);
+            mock.resolve(&round_tx);
             // Transmitter entries are unspecified; compare listeners, and
             // the message each delivery hands over.
             for u in (0..4).filter(|&u| !transmitting[u]) {

@@ -2,8 +2,7 @@
 //! simulator's channel. Over `LinkSet::All` it is the `AllExtraEdges`
 //! channel (`Gₜ = G'`), over `LinkSet::Reliable` the `NoExtraEdges` one
 //! (`Gₜ = G`): the engine produces the same events and channel stats
-//! through either, across random topologies, fault plans, and shard
-//! counts of the sim side.
+//! through either, across random topologies and fault plans.
 
 use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport};
 use proptest::prelude::*;
@@ -93,7 +92,6 @@ proptest! {
         all_links in proptest::bool::ANY,
         fault_kind in 0u8..4,
         drop_p in 0.0f64..1.0,
-        shards in 1usize..5,
         period in 2u64..6,
         rounds in 4u64..16,
     ) {
@@ -115,8 +113,7 @@ proptest! {
         let config = Configuration::new(topo.graph.clone(), scheduler)
             .with_r(topo.r)
             .with_recording(RecordingPolicy::full())
-            .with_faults(faults.clone())
-            .with_shards(shards);
+            .with_faults(faults.clone());
         let mut sim = Engine::new(config, chatters(n, period), Box::new(NullEnvironment), master_seed);
         sim.run(rounds);
         let reference = sim.into_trace();

@@ -191,9 +191,8 @@ fn stats_only_steady_state_allocates_nothing() {
 #[test]
 fn instrumented_steady_state_allocates_nothing() {
     // Same contract with telemetry enabled: the metrics core is all
-    // fixed slots (counters, the 2048-bucket histogram, per-shard busy
-    // slots sized at construction), so phase timing and counter
-    // recording must add zero allocations per round.
+    // fixed slots (counters, the 2048-bucket histogram), so phase
+    // timing and counter recording must add zero allocations per round.
     let topo = rgg64();
     let config = Configuration::new(topo.graph.clone(), Box::new(AllExtraEdges))
         .with_recording(RecordingPolicy::stats_only())

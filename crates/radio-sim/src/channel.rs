@@ -17,8 +17,8 @@
 //!
 //! [`SimChannel`] is the simulator's channel: the link scheduler picks
 //! the round's extra edges and [`crate::resolve`] applies the collision
-//! rule, serial or sharded. Other substrates (the `net` crate's mock
-//! network) plug in through [`Engine::with_channel`](crate::engine::Engine::with_channel).
+//! rule. Other substrates (the `net` crate's mock network) plug in
+//! through [`Engine::with_channel`](crate::engine::Engine::with_channel).
 
 use crate::graph::{DualGraph, NodeId};
 use crate::resolve;
@@ -71,10 +71,8 @@ pub struct Transmissions<'a, M> {
 /// * The replies are a pure function of the construction parameters and
 ///   the sequence of `resolve` calls, so executions replay byte for byte.
 pub trait Channel<M> {
-    /// Resolves one round. `shard_busy`, present when engine telemetry is
-    /// on, has one busy-nanoseconds slot per [`Channel::shards`] for a
-    /// channel that times parallel work.
-    fn resolve(&mut self, tx: &Transmissions<'_, M>, shard_busy: Option<&mut [u64]>);
+    /// Resolves one round.
+    fn resolve(&mut self, tx: &Transmissions<'_, M>);
 
     /// What listener `u` hears this round.
     fn heard(&self, u: usize) -> Heard;
@@ -83,11 +81,6 @@ pub trait Channel<M> {
     /// coming from `from`. `messages` are the engine's slots for this
     /// round's transmitters.
     fn deliver(&mut self, u: usize, from: NodeId, messages: &[Option<M>]) -> M;
-
-    /// How many parallel shards `resolve` fans out over (1 = serial).
-    fn shards(&self) -> usize {
-        1
-    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -102,19 +95,15 @@ pub trait Channel<M> {
 /// so resolution allocates only what the scheduler itself returns.
 pub struct SimChannel {
     scheduler: SchedulerBox,
-    shards: usize,
     tx_neighbors: Vec<u32>,
     last_sender: Vec<NodeId>,
 }
 
 impl SimChannel {
-    /// A channel over `n` vertices resolving with the given scheduler
-    /// across `shards` worker threads (clamped to ≥ 1; every count is
-    /// byte-identical to serial).
-    pub fn new(scheduler: SchedulerBox, shards: usize, n: usize) -> Self {
+    /// A channel over `n` vertices resolving with the given scheduler.
+    pub fn new(scheduler: SchedulerBox, n: usize) -> Self {
         SimChannel {
             scheduler,
-            shards: shards.max(1),
             tx_neighbors: vec![0; n],
             last_sender: vec![NodeId(0); n],
         }
@@ -122,31 +111,19 @@ impl SimChannel {
 }
 
 impl<M: Clone> Channel<M> for SimChannel {
-    fn resolve(&mut self, tx: &Transmissions<'_, M>, shard_busy: Option<&mut [u64]>) {
+    fn resolve(&mut self, tx: &Transmissions<'_, M>) {
         let selection = match &mut self.scheduler {
             SchedulerBox::Oblivious(s) => s.extra_edges(tx.round, tx.graph),
             SchedulerBox::Adaptive(s) => s.extra_edges(tx.round, tx.graph, tx.transmitting),
         };
-        if self.shards > 1 {
-            resolve::resolve_receptions_sharded(
-                tx.graph,
-                &selection,
-                tx.transmitting,
-                self.shards,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-                shard_busy,
-            );
-        } else {
-            resolve::resolve_receptions_serial(
-                tx.graph,
-                &selection,
-                tx.transmitting,
-                tx.tx_list,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-            );
-        }
+        resolve::resolve_receptions_serial(
+            tx.graph,
+            &selection,
+            tx.transmitting,
+            tx.tx_list,
+            &mut self.tx_neighbors,
+            &mut self.last_sender,
+        );
     }
 
     #[inline]
@@ -163,10 +140,6 @@ impl<M: Clone> Channel<M> for SimChannel {
         messages[from.0]
             .clone()
             .expect("sender marked transmitting must carry a message")
-    }
-
-    fn shards(&self) -> usize {
-        self.shards
     }
 
     fn name(&self) -> &'static str {

@@ -40,9 +40,8 @@ pub struct Configuration {
     /// adjacency per trial.
     pub graph: Arc<DualGraph>,
     /// The link scheduler (oblivious, or adaptive for separation
-    /// experiments). Together with `shards` it configures the
-    /// [`SimChannel`]; an engine built [`Engine::with_channel`] leaves
-    /// both unused.
+    /// experiments). It configures the [`SimChannel`]; an engine built
+    /// [`Engine::with_channel`] leaves it unused.
     pub scheduler: SchedulerBox,
     /// Id assignment: `proc_ids[v]` is the process id at vertex `v`.
     /// Must be injective.
@@ -62,13 +61,8 @@ pub struct Configuration {
     /// default, in which case execution is identical to the fault-free
     /// engine.
     pub faults: FaultPlan,
-    /// How many parallel shards reception resolution fans out over
-    /// (1 = serial). Executions are byte-identical for every value; the
-    /// knob trades thread overhead for intra-trial parallelism on large
-    /// graphs.
-    pub shards: usize,
     /// Whether the engine accumulates [`telemetry::EngineMetrics`]
-    /// (per-phase round timing, per-shard busy time, channel counters).
+    /// (per-phase round timing, channel counters).
     /// Telemetry observes only: enabling it leaves the execution —
     /// traces, outputs, RNG streams — byte-identical, and recording
     /// stays allocation-free in the steady state.
@@ -90,18 +84,13 @@ impl Configuration {
             timeline: None,
             recording: RecordingPolicy::outputs_only(),
             faults: FaultPlan::none(),
-            shards: 1,
             telemetry: false,
         }
     }
 
-    /// Shards reception resolution across `shards` worker threads
-    /// (clamped to ≥ 1; 1 keeps the serial path). The CSR adjacency is
-    /// read-only in the hot loop and each shard writes a disjoint vertex
-    /// range of the receive scratch, so every shard count produces a
-    /// byte-identical execution.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    // No-op stub: only `perfbench/src/traced.rs` calls it; nothing in the workspace does.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -242,7 +231,7 @@ impl<P: Process> Engine<P> {
     /// Builds an engine from a configuration, one process per vertex, an
     /// environment, and the master seed from which all per-node random
     /// streams derive. Receptions resolve through the simulator's
-    /// channel, built from the configuration's scheduler and shard count.
+    /// channel, built from the configuration's scheduler.
     ///
     /// # Panics
     ///
@@ -259,7 +248,7 @@ impl<P: Process> Engine<P> {
             &mut config.scheduler,
             SchedulerBox::Oblivious(Box::new(NoExtraEdges)),
         );
-        let channel = SimChannel::new(scheduler, config.shards, config.graph.len());
+        let channel = SimChannel::new(scheduler, config.graph.len());
         Engine::with_channel(config, channel, procs, env, master_seed)
     }
 }
@@ -268,8 +257,8 @@ impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
     /// Builds an engine whose reception step is `channel`; everything
     /// else (faults, inputs, transmit decisions, classification, outputs,
     /// the trace and telemetry) is the same round loop as
-    /// [`Engine::new`]. The configuration's `scheduler` and `shards`
-    /// describe the simulator's channel and go unused here.
+    /// [`Engine::new`]. The configuration's `scheduler` describes the
+    /// simulator's channel and goes unused here.
     ///
     /// # Panics
     ///
@@ -360,7 +349,7 @@ impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
     /// Metrics cover the rounds stepped while attached, so attach before
     /// the first round to observe the whole execution.
     pub fn set_telemetry(&mut self, enabled: bool) {
-        self.telemetry = enabled.then(|| Box::new(EngineMetrics::new(self.channel.shards())));
+        self.telemetry = enabled.then(|| Box::new(EngineMetrics::new()));
     }
 
     /// The channel receptions resolve through.
@@ -396,9 +385,9 @@ impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
         let have_faults = !self.faults.is_empty();
 
         // Telemetry is taken out of `self` for the round so phase laps
-        // and the sharded resolver can borrow it while the engine's own
-        // fields stay independently borrowable; it is put back at the
-        // end. A disabled handle costs one `None` branch per phase.
+        // can borrow it while the engine's own fields stay independently
+        // borrowable; it is put back at the end. A disabled handle costs
+        // one `None` branch per phase.
         let mut telem = self.telemetry.take();
 
         // Dynamic geometry: swap in the snapshot covering this round
@@ -545,16 +534,13 @@ impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
         // Step 3: the channel resolves this round's transmissions over
         // the current epoch's graph (for the simulator: the scheduler
         // fixes the round topology and the collision rule applies).
-        self.channel.resolve(
-            &Transmissions {
-                round,
-                graph: &self.graph,
-                transmitting: &self.transmitting,
-                tx_list: &self.tx_list,
-                messages: &self.messages,
-            },
-            telem.as_deref_mut().map(|t| t.shard_busy_ns.as_mut_slice()),
-        );
+        self.channel.resolve(&Transmissions {
+            round,
+            graph: &self.graph,
+            transmitting: &self.transmitting,
+            tx_list: &self.tx_list,
+            messages: &self.messages,
+        });
         let resolve_ns = span.lap();
 
         // Channel stats feed the trace (under the recording policy)
@@ -699,11 +685,6 @@ impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
 
         if let Some(t) = telem.as_deref_mut() {
             let outputs_ns = span.lap();
-            if self.channel.shards() <= 1 {
-                // The serial resolver is "shard 0"; sharded resolution
-                // timed its chunks inside the workers.
-                t.shard_busy_ns[0] += resolve_ns;
-            }
             t.record_round([faults_ns, inputs_ns, transmit_ns, resolve_ns, deliver_ns, outputs_ns]);
         }
         self.telemetry = telem;
@@ -1189,73 +1170,6 @@ mod tests {
         assert_eq!(stats.transmitters, 1);
     }
 
-    // -- sharded reception resolution --------------------------------------
-
-    /// One trace of a contention-heavy random topology under the given
-    /// scheduler, faults, and shard count (full recording, so events and
-    /// per-round stats pin the whole execution).
-    fn shard_trace(
-        scheduler: Box<dyn LinkScheduler>,
-        faults: FaultPlan,
-        shards: usize,
-    ) -> Trace<(), u32, u32> {
-        let topo = crate::topology::random_geometric(crate::topology::RggParams {
-            n: 60,
-            side: 3.0,
-            r: 2.0,
-            grey_reliable_p: 0.1,
-            grey_unreliable_p: 0.8,
-            seed: 13,
-        });
-        let procs = (0..60)
-            .map(|v| Beacon::new(v as u32, vec![1 + v as u64 % 5, 3, 7 + v as u64 % 3]))
-            .collect();
-        let config = Configuration::new(topo.graph, scheduler)
-            .with_recording(crate::trace::RecordingPolicy::full())
-            .with_faults(faults)
-            .with_shards(shards);
-        let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), 9);
-        engine.run(12);
-        engine.into_trace()
-    }
-
-    #[test]
-    fn shard_counts_produce_byte_identical_traces() {
-        let some_faults = || {
-            FaultPlan::none()
-                .with_crash(NodeId(4), 3, Some(8))
-                .with_jam(vec![NodeId(1), NodeId(9)], 2, 6)
-                .with_drop_burst(1, 10, 0.5)
-        };
-        type MkScheduler = Box<dyn Fn() -> Box<dyn LinkScheduler>>;
-        let cases: Vec<(MkScheduler, FaultPlan)> = vec![
-            // All-edges: the sharded gather covers the extra adjacency.
-            (Box::new(|| Box::new(AllExtraEdges)), FaultPlan::none()),
-            // No-edges: reliable gather only.
-            (Box::new(|| Box::new(NoExtraEdges)), FaultPlan::none()),
-            // Bernoulli: per-round Subset selections, applied serially on
-            // top of the sharded gather.
-            (
-                Box::new(|| Box::new(crate::scheduler::BernoulliEdges::new(0.5, 3))),
-                FaultPlan::none(),
-            ),
-            // Faults interleave crash/jam/drop with the sharded path.
-            (Box::new(|| Box::new(AllExtraEdges)), some_faults()),
-            (
-                Box::new(|| Box::new(crate::scheduler::BernoulliEdges::new(0.7, 5))),
-                some_faults(),
-            ),
-        ];
-        for (mk_sched, faults) in cases {
-            let serial = shard_trace(mk_sched(), faults.clone(), 1);
-            for shards in [2, 8, 64] {
-                let sharded = shard_trace(mk_sched(), faults.clone(), shards);
-                assert_eq!(serial.events, sharded.events, "shards = {shards}");
-                assert_eq!(serial.round_stats, sharded.round_stats, "shards = {shards}");
-            }
-        }
-    }
-
     // -- dynamic geometry ---------------------------------------------------
 
     use crate::timeline::GraphTimeline;
@@ -1358,12 +1272,9 @@ mod tests {
 
     // -- engine telemetry ---------------------------------------------------
 
-    /// One contention-heavy faulted trace, with or without telemetry,
-    /// at the given shard count; returns the trace and the metrics.
-    fn telemetry_trace(
-        enabled: bool,
-        shards: usize,
-    ) -> (Trace<(), u32, u32>, Option<telemetry::EngineMetrics>) {
+    /// One contention-heavy faulted trace, with or without telemetry;
+    /// returns the trace and the metrics.
+    fn telemetry_trace(enabled: bool) -> (Trace<(), u32, u32>, Option<telemetry::EngineMetrics>) {
         let topo = crate::topology::random_geometric(crate::topology::RggParams {
             n: 40,
             side: 2.5,
@@ -1385,7 +1296,6 @@ mod tests {
         )
         .with_recording(crate::trace::RecordingPolicy::full())
         .with_faults(faults)
-        .with_shards(shards)
         .with_telemetry(enabled);
         let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), 17);
         engine.run(10);
@@ -1395,36 +1305,30 @@ mod tests {
 
     #[test]
     fn telemetry_leaves_traces_byte_identical() {
-        let (plain, none) = telemetry_trace(false, 1);
+        let (plain, none) = telemetry_trace(false);
         assert!(none.is_none());
-        for shards in [1, 4] {
-            let (instrumented, telem) = telemetry_trace(true, shards);
-            assert_eq!(plain.events, instrumented.events, "shards = {shards}");
-            assert_eq!(plain.round_stats, instrumented.round_stats, "shards = {shards}");
-            assert!(telem.is_some());
-        }
+        let (instrumented, telem) = telemetry_trace(true);
+        assert_eq!(plain.events, instrumented.events);
+        assert_eq!(plain.round_stats, instrumented.round_stats);
+        assert!(telem.is_some());
     }
 
     #[test]
     fn telemetry_counters_match_trace_stats() {
-        for shards in [1, 3] {
-            let (trace, telem) = telemetry_trace(true, shards);
-            let telem = telem.unwrap();
-            let totals = trace.total_stats();
-            assert_eq!(telem.rounds, trace.rounds);
-            assert_eq!(telem.transmissions, totals.transmitters as u64);
-            assert_eq!(telem.deliveries, totals.deliveries as u64);
-            assert_eq!(telem.collisions, totals.collisions as u64);
-            assert_eq!(telem.silent, totals.silent as u64);
-            assert_eq!(telem.jammed, totals.jammed as u64);
-            assert_eq!(telem.dropped, totals.dropped as u64);
-            assert_eq!(telem.down_node_rounds, totals.down as u64);
-            // Counters are deterministic across shard counts; timings
-            // are wall-clock and need only be present.
-            assert_eq!(telem.round_ns.count(), trace.rounds);
-            assert!(telem.busy_ns() > 0);
-            assert_eq!(telem.shard_busy_ns.len(), shards);
-        }
+        let (trace, telem) = telemetry_trace(true);
+        let telem = telem.unwrap();
+        let totals = trace.total_stats();
+        assert_eq!(telem.rounds, trace.rounds);
+        assert_eq!(telem.transmissions, totals.transmitters as u64);
+        assert_eq!(telem.deliveries, totals.deliveries as u64);
+        assert_eq!(telem.collisions, totals.collisions as u64);
+        assert_eq!(telem.silent, totals.silent as u64);
+        assert_eq!(telem.jammed, totals.jammed as u64);
+        assert_eq!(telem.dropped, totals.dropped as u64);
+        assert_eq!(telem.down_node_rounds, totals.down as u64);
+        // Timings are wall-clock and need only be present.
+        assert_eq!(telem.round_ns.count(), trace.rounds);
+        assert!(telem.busy_ns() > 0);
     }
 
     #[test]
@@ -1467,14 +1371,6 @@ mod tests {
         assert_eq!(telem.transmissions, 2);
         assert_eq!(telem.deliveries, 1);
         assert_eq!(telem.collisions, 1);
-        assert_eq!(telem.shard_busy_ns.len(), 1);
-    }
-
-    #[test]
-    fn with_shards_clamps_to_serial() {
-        let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-        let config = Configuration::new(g, Box::new(NoExtraEdges)).with_shards(0);
-        assert_eq!(config.shards, 1);
     }
 
     #[test]

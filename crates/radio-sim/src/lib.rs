@@ -39,8 +39,8 @@
 //!   collision, or the one sender), and the simulator's
 //!   [`SimChannel`](channel::SimChannel). The `net` crate's mock network
 //!   plugs in as another channel.
-//! * [`resolve`] — the collision rule as free functions (serial scatter
-//!   and sharded gather) behind the sim channel.
+//! * [`resolve`] — the collision rule as one free function (a scatter
+//!   over each transmitter's neighbors) behind the sim channel.
 //! * [`timeline`] — epoch-based dynamic geometry: the
 //!   [`GraphTimeline`](timeline::GraphTimeline) schedule of dual-graph
 //!   snapshots that mobility and moving jammers run on; a single-epoch

@@ -1,6 +1,7 @@
 //! Collision-resolved reception, factored out of the engine.
 //!
-//! These free functions turn one round's transmit decisions into the
+//! [`resolve_receptions_serial`] is the repository's one reception
+//! resolver. It turns one round's transmit decisions into the
 //! per-listener reception state the collision rule dictates: after a
 //! call, `tx_neighbors[u]` counts `u`'s transmitting neighbors in the
 //! round topology (reliable edges plus the scheduler's selection of
@@ -10,7 +11,7 @@
 //! detection.
 //!
 //! The simulator's channel ([`SimChannel`](crate::channel::SimChannel))
-//! calls these once per round; they stay free functions so a round's
+//! calls it once per round; it stays a free function so a round's
 //! resolution can be timed or checked in isolation.
 //!
 //! `last_sender` needs no reset between rounds: it is only read where
@@ -21,8 +22,8 @@ use crate::scheduler::EdgeSelection;
 
 /// The scatter-form resolution: walk each transmitter's neighborhood,
 /// accumulating into `tx_neighbors`/`last_sender`.
-/// O(Σ deg(transmitter)); allocation-free — the zero-alloc steady-state
-/// path of the serial engine.
+/// O(Σ deg(transmitter)) plus the selected extra edges; allocation-free
+/// — the engine's zero-alloc steady-state path.
 ///
 /// `tx_list` must list exactly the vertices `v` with `transmitting[v]`,
 /// in ascending order (the engine builds it that way); `tx_neighbors`
@@ -71,103 +72,6 @@ pub fn resolve_receptions_serial(
     }
 }
 
-/// The gather-form resolution, fanned out over `shards` disjoint vertex
-/// ranges: each shard counts the transmitting neighbors of its own
-/// vertices against the read-only CSR adjacency and writes only its own
-/// slice of `tx_neighbors`/`last_sender`, so the result is
-/// byte-identical to the serial scatter by construction — when exactly
-/// one neighbor transmits, both forms record that unique sender, and
-/// `last_sender` is never read otherwise. Per-round `Subset` selections
-/// are applied serially on top (they are sparse; the O(n + m) gather is
-/// the scalable part).
-///
-/// `shard_busy` (when telemetry is on) receives each worker chunk's
-/// busy nanoseconds, one pre-allocated slot per shard — timing is
-/// taken inside the worker, so the slots measure compute skew, not
-/// spawn/join overhead.
-pub fn resolve_receptions_sharded(
-    graph: &DualGraph,
-    selection: &EdgeSelection,
-    transmitting: &[bool],
-    shards: usize,
-    tx_neighbors: &mut [u32],
-    last_sender: &mut [NodeId],
-    shard_busy: Option<&mut [u64]>,
-) {
-    let n = graph.len();
-    let shards = shards.min(n.max(1));
-    let chunk = n.div_ceil(shards);
-    let gather_extra = matches!(selection, EdgeSelection::All);
-    crossbeam::scope(|s| {
-        let mut tx_rest: &mut [u32] = tx_neighbors;
-        let mut ls_rest: &mut [NodeId] = last_sender;
-        let mut busy_rest: &mut [u64] = shard_busy.unwrap_or(&mut []);
-        let mut base = 0usize;
-        while !tx_rest.is_empty() {
-            let take = chunk.min(tx_rest.len());
-            let (tx_chunk, tx_tail) = tx_rest.split_at_mut(take);
-            let (ls_chunk, ls_tail) = ls_rest.split_at_mut(take);
-            tx_rest = tx_tail;
-            ls_rest = ls_tail;
-            let busy_slot = if busy_rest.is_empty() {
-                None
-            } else {
-                let (head, tail) = std::mem::take(&mut busy_rest).split_at_mut(1);
-                busy_rest = tail;
-                Some(&mut head[0])
-            };
-            let lo = base;
-            base += take;
-            s.spawn(move |_| {
-                let span = telemetry::Stopwatch::armed(busy_slot.is_some());
-                for (i, (count, sender)) in
-                    tx_chunk.iter_mut().zip(ls_chunk.iter_mut()).enumerate()
-                {
-                    let u = NodeId(lo + i);
-                    let mut c = 0u32;
-                    let mut from = NodeId(0);
-                    for &v in graph.reliable_neighbors(u) {
-                        if transmitting[v.0] {
-                            c += 1;
-                            from = v;
-                        }
-                    }
-                    if gather_extra {
-                        for &v in graph.extra_neighbors(u) {
-                            if transmitting[v.0] {
-                                c += 1;
-                                from = v;
-                            }
-                        }
-                    }
-                    *count = c;
-                    *sender = from;
-                }
-                if let Some(slot) = busy_slot {
-                    *slot += span.peek();
-                }
-            });
-        }
-    })
-    .expect("reception shard panicked");
-    if let EdgeSelection::Subset(edges) = selection {
-        for e in edges {
-            debug_assert!(
-                graph.extra_edges().binary_search(e).is_ok(),
-                "scheduler returned edge {e:?} outside E' \\ E"
-            );
-            if transmitting[e.a.0] {
-                tx_neighbors[e.b.0] += 1;
-                last_sender[e.b.0] = e.a;
-            }
-            if transmitting[e.b.0] {
-                tx_neighbors[e.a.0] += 1;
-                last_sender[e.a.0] = e.b;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,46 +115,5 @@ mod tests {
         // transmitter, the count is still maintained.
         assert_eq!(counts[1], 2);
         assert_eq!(counts[3], 1);
-    }
-
-    #[test]
-    fn sharded_matches_serial_for_every_shard_count() {
-        let (g, transmitting, tx_list) = arena();
-        for selection in [
-            EdgeSelection::None,
-            EdgeSelection::All,
-            EdgeSelection::subset(g.extra_edges().to_vec()),
-        ] {
-            let mut counts = vec![0u32; 4];
-            let mut senders = vec![NodeId(0); 4];
-            resolve_receptions_serial(
-                &g,
-                &selection,
-                &transmitting,
-                &tx_list,
-                &mut counts,
-                &mut senders,
-            );
-            for shards in [1, 2, 3, 7] {
-                let mut c2 = vec![0u32; 4];
-                let mut s2 = vec![NodeId(0); 4];
-                resolve_receptions_sharded(
-                    &g,
-                    &selection,
-                    &transmitting,
-                    shards,
-                    &mut c2,
-                    &mut s2,
-                    None,
-                );
-                assert_eq!(counts, c2, "shards = {shards}");
-                // Senders only need to agree where the count is 1.
-                for u in 0..4 {
-                    if counts[u] == 1 {
-                        assert_eq!(senders[u], s2[u], "u = {u}, shards = {shards}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::obs::{RunTelemetry, ScenarioTelemetry};
 use crate::runner::{ScenarioReport, ScenarioRunner, TrialOutcome};
-use crate::spec::{Scenario, ScenarioError};
+use crate::spec::{Scenario, ScenarioError, MAX_TRIALS};
 use analysis::report::{markdown_report, pm, within_tolerance};
 use analysis::runner::{effective_threads, run_jobs_observed, run_jobs_on};
 use analysis::table::{fnum, Table};
@@ -56,11 +56,22 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Rejects an empty list, a duplicate scenario name (golden files
-    /// are keyed by name), and any scenario that fails validation.
+    /// Rejects an empty list, more than [`MAX_TRIALS`] trials in total,
+    /// a duplicate scenario name (golden files are keyed by name), and
+    /// any scenario that fails validation.
     pub fn new(scenarios: Vec<Scenario>) -> Result<Self, ScenarioError> {
         if scenarios.is_empty() {
             return Err(invalid("campaign: needs at least one scenario"));
+        }
+        let total = scenarios
+            .iter()
+            .fold(0usize, |t, s| t.saturating_add(s.trials));
+        if total > MAX_TRIALS {
+            return Err(invalid(format!(
+                "campaign: trials sum to {total} over {} scenario(s), more than the cap of \
+                 {MAX_TRIALS}",
+                scenarios.len()
+            )));
         }
         let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
@@ -109,20 +120,6 @@ impl Campaign {
         self
     }
 
-    /// Shards each trial engine's reception resolution across `shards`
-    /// threads (default 1 = serial). Like [`Campaign::threads`] this is
-    /// purely a wall-clock knob — outcomes, reports, and golden checks
-    /// are byte-identical for every count. Useful when a campaign has
-    /// few, huge scenarios (a scale curve) rather than many small ones:
-    /// intra-trial sharding keeps the cores busy where trial fan-out
-    /// alone cannot.
-    pub fn shards(mut self, shards: usize) -> Self {
-        for r in &mut self.runners {
-            r.set_shards(shards);
-        }
-        self
-    }
-
     /// The scenarios in run order.
     pub fn scenarios(&self) -> impl Iterator<Item = &Scenario> {
         self.runners.iter().map(|r| r.scenario())
@@ -162,7 +159,10 @@ impl Campaign {
     /// report is identical to [`Campaign::run`] — telemetry observes
     /// the execution, it never feeds back — so golden checks and
     /// markdown bytes are unchanged; only wall-clock (`_ns`) fields
-    /// vary run to run.
+    /// vary run to run. Each trial's engine metrics are merged into its
+    /// scenario's accumulator as the trial finishes, so memory grows by
+    /// one outcome per trial, not one 16 KiB histogram; the merge only
+    /// adds and takes min/max, so completion order cannot change it.
     pub fn run_observed(&self, heartbeat: Option<&Heartbeat>) -> (CampaignReport, RunTelemetry) {
         let jobs: Vec<(usize, usize)> = self
             .runners
@@ -181,13 +181,25 @@ impl Campaign {
             elapsed_ns: vec![0; jobs.len()],
             remaining: self.runners.iter().map(|r| r.scenario().trials).collect(),
         });
+        let scenarios: Vec<Mutex<ScenarioTelemetry>> = self
+            .runners
+            .iter()
+            .map(|r| Mutex::new(ScenarioTelemetry::new(&r.scenario().name)))
+            .collect();
         let start = Instant::now();
-        let results = run_jobs_observed(
+        let outcomes = run_jobs_observed(
             jobs.len(),
             self.threads,
             |j| {
                 let (si, trial) = jobs[j];
-                self.runners[si].run_trial_instrumented(trial)
+                let (outcome, engine) = self.runners[si].run_trial_instrumented(trial);
+                if let Some(m) = engine {
+                    scenarios[si]
+                        .lock()
+                        .expect("scenario telemetry")
+                        .merge_engine(&m);
+                }
+                outcome
             },
             |obs| {
                 let (si, _) = jobs[obs.job];
@@ -210,22 +222,19 @@ impl Campaign {
         let acc = acc.into_inner().expect("telemetry accumulator");
 
         // Reassemble per scenario. Jobs are contiguous per scenario and
-        // results/elapsed are job-index-ordered, so a single zip walks
+        // outcomes/elapsed are job-index-ordered, so a single zip walks
         // every scenario's trials in trial order.
-        let mut scenarios: Vec<ScenarioTelemetry> = self
-            .runners
-            .iter()
-            .map(|r| ScenarioTelemetry::new(&r.scenario().name))
+        let mut scenarios: Vec<ScenarioTelemetry> = scenarios
+            .into_iter()
+            .map(|s| s.into_inner().expect("scenario telemetry"))
             .collect();
         let mut per_outcomes: Vec<Vec<TrialOutcome>> = self
             .runners
             .iter()
             .map(|r| Vec::with_capacity(r.scenario().trials))
             .collect();
-        for ((&(si, _), (outcome, engine)), &elapsed) in
-            jobs.iter().zip(results).zip(&acc.elapsed_ns)
-        {
-            scenarios[si].record_trial(&outcome, elapsed, engine);
+        for ((&(si, _), outcome), &elapsed) in jobs.iter().zip(outcomes).zip(&acc.elapsed_ns) {
+            scenarios[si].record_trial(&outcome, elapsed);
             per_outcomes[si].push(outcome);
         }
         let reports = self
@@ -243,7 +252,6 @@ impl Campaign {
         }
         let telemetry = RunTelemetry {
             threads,
-            shards: self.runners.iter().map(|r| r.shard_count()).max().unwrap_or(1),
             wall_ns,
             worker_busy_ns: acc.worker_busy_ns,
             trial_ns,
@@ -806,26 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn golden_metrics_are_invariant_across_shard_counts() {
-        // Golden files are blessed from serial runs; a sharded campaign
-        // must reproduce them exactly, so --shards can never trip (or
-        // mask) the regression gate.
-        let golden = Campaign::new(vec![tiny("a", 5), tiny("b", 9)])
-            .unwrap()
-            .run()
-            .golden();
-        for shards in [2, 8] {
-            let report = Campaign::new(vec![tiny("a", 5), tiny("b", 9)])
-                .unwrap()
-                .shards(shards)
-                .run();
-            assert_eq!(report.golden(), golden, "{shards} shards");
-            let check = report.check(&golden);
-            assert!(check.passed(), "{shards} shards:\n{}", check.table());
-        }
-    }
-
-    #[test]
     fn observed_run_matches_plain_run_and_fills_telemetry() {
         // The observed pool must not perturb results: outcomes and the
         // whole markdown report are byte-identical to a plain run, at
@@ -861,29 +849,24 @@ mod tests {
     }
 
     #[test]
-    fn observed_ack_histograms_are_identical_across_threads_and_shards() {
+    fn observed_ack_histograms_are_identical_across_threads() {
         // The deterministic half of the telemetry (latency histograms
         // in rounds, engine counters) is a pure function of the
-        // scenario — byte-identical across worker threads and engine
-        // shards; only the `_ns` wall-clock fields may differ.
-        let make = |threads: usize, shards: usize| {
+        // scenario — byte-identical across worker threads; only the
+        // `_ns` wall-clock fields may differ.
+        let make = |threads: usize| {
             Campaign::new(vec![tiny("a", 5), tiny("b", 9)])
                 .unwrap()
                 .threads(threads)
-                .shards(shards)
                 .run_observed(None)
                 .1
         };
-        let base = make(1, 1);
-        for (threads, shards) in [(4, 1), (1, 4), (2, 2)] {
-            let telem = make(threads, shards);
+        let base = make(1);
+        for threads in [2, 4] {
+            let telem = make(threads);
             for (a, b) in base.scenarios.iter().zip(&telem.scenarios) {
                 assert_eq!(a.name, b.name);
-                assert_eq!(
-                    a.ack_latency_rounds, b.ack_latency_rounds,
-                    "{threads}t/{shards}s: {}",
-                    a.name
-                );
+                assert_eq!(a.ack_latency_rounds, b.ack_latency_rounds, "{threads}t: {}", a.name);
                 assert_eq!(a.delivery_latency_rounds, b.delivery_latency_rounds);
                 let (ea, eb) = (a.engine.as_ref().unwrap(), b.engine.as_ref().unwrap());
                 assert_eq!(ea.rounds, eb.rounds);

@@ -52,15 +52,9 @@ impl ScenarioTelemetry {
         }
     }
 
-    /// Folds one trial's outcome (and, when present, its engine
-    /// metrics) in. `elapsed_ns` is the trial's wall-clock time on its
-    /// worker.
-    pub fn record_trial(
-        &mut self,
-        outcome: &TrialOutcome,
-        elapsed_ns: u64,
-        engine: Option<EngineMetrics>,
-    ) {
+    /// Folds one trial's outcome in. `elapsed_ns` is the trial's
+    /// wall-clock time on its worker.
+    pub fn record_trial(&mut self, outcome: &TrialOutcome, elapsed_ns: u64) {
         self.trials += 1;
         self.trial_ns.record(elapsed_ns);
         if let Some(r) = outcome.first_ack {
@@ -69,12 +63,11 @@ impl ScenarioTelemetry {
         if let Some(r) = outcome.first_delivery {
             self.delivery_latency_rounds.record(r);
         }
-        if let Some(m) = engine {
-            match &mut self.engine {
-                Some(acc) => acc.merge(&m),
-                None => self.engine = Some(m),
-            }
-        }
+    }
+
+    /// Folds one trial's engine metrics in (order-invariant).
+    pub fn merge_engine(&mut self, m: &EngineMetrics) {
+        self.engine.get_or_insert_with(EngineMetrics::new).merge(m);
     }
 
     fn record(&self) -> ScenarioRecord {
@@ -92,8 +85,6 @@ impl ScenarioTelemetry {
 pub struct RunTelemetry {
     /// Worker threads the pool actually used.
     pub threads: usize,
-    /// Reception-resolution shards per trial engine.
-    pub shards: usize,
     /// Total run wall-clock (ns).
     pub wall_ns: u64,
     /// Busy nanoseconds per pool worker.
@@ -125,7 +116,6 @@ impl RunTelemetry {
             self.scenarios.len(),
             self.total_trials(),
             self.threads,
-            self.shards,
         );
         let pool = PoolRecord::new(
             self.total_trials() as u64,
@@ -179,21 +169,22 @@ mod tests {
 
     fn sample_run() -> RunTelemetry {
         let mut s1 = ScenarioTelemetry::new("a");
-        let mut engine = EngineMetrics::new(1);
+        let mut engine = EngineMetrics::new();
         engine.record_round([1, 2, 3, 4, 5, 6]);
-        s1.record_trial(&outcome(Some(7), Some(3)), 10_000, Some(engine));
-        let mut engine2 = EngineMetrics::new(1);
+        s1.record_trial(&outcome(Some(7), Some(3)), 10_000);
+        s1.merge_engine(&engine);
+        let mut engine2 = EngineMetrics::new();
         engine2.record_round([2, 2, 2, 2, 2, 2]);
-        s1.record_trial(&outcome(Some(9), None), 12_000, Some(engine2));
+        s1.record_trial(&outcome(Some(9), None), 12_000);
+        s1.merge_engine(&engine2);
         let mut s2 = ScenarioTelemetry::new("b");
-        s2.record_trial(&outcome(None, Some(4)), 20_000, None);
+        s2.record_trial(&outcome(None, Some(4)), 20_000);
         let mut trial_ns = Histogram::new();
         for v in [10_000u64, 12_000, 20_000] {
             trial_ns.record(v);
         }
         RunTelemetry {
             threads: 2,
-            shards: 1,
             wall_ns: 50_000,
             worker_busy_ns: vec![22_000, 20_000],
             trial_ns,

@@ -286,8 +286,6 @@ pub struct ScenarioRunner {
     /// scenario: motion draws only from the dedicated mobility stream
     /// of the *topology* seed, so every trial shares one timeline.
     mobility: Option<MobilityState>,
-    /// Reception-resolution shards per trial engine (1 = serial).
-    shards: usize,
 }
 
 impl ScenarioRunner {
@@ -318,7 +316,6 @@ impl ScenarioRunner {
             graph,
             faults,
             mobility,
-            shards: 1,
         })
     }
 
@@ -380,22 +377,10 @@ impl ScenarioRunner {
         }))
     }
 
-    /// Shards each trial engine's reception resolution across `shards`
-    /// worker threads (default 1 = serial). Purely a wall-clock knob:
-    /// traces and outcomes are byte-identical for every count, so
-    /// golden metrics never depend on it. Clamped up to 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
-        self
-    }
-
-    pub(crate) fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// Reception-resolution shards each trial engine uses.
+    // Always 1: only `perfbench/src/traced.rs` calls it; nothing in the workspace does.
+    #[doc(hidden)]
     pub fn shard_count(&self) -> usize {
-        self.shards
+        1
     }
 
     /// The scenario being executed.
@@ -616,8 +601,7 @@ impl ScenarioRunner {
         let config = config
             .with_r(self.topo.r)
             .with_recording(recording)
-            .with_faults(self.faults.clone())
-            .with_shards(self.shards);
+            .with_faults(self.faults.clone());
         match &self.mobility {
             Some(m) => config.with_timeline(m.timeline.clone()),
             None => config,
@@ -1158,43 +1142,6 @@ mod tests {
             for o in &report.outcomes {
                 assert_eq!(o.rounds, 600, "window [{down_from}, {up_at:?}]");
             }
-        }
-    }
-
-    #[test]
-    fn sharded_runs_match_serial_outcomes_and_traces() {
-        // The shard count is a wall-clock knob only: every outcome field
-        // and the full trace JSON must be byte-identical to the serial
-        // run, under faults and a randomized adversary alike.
-        let scenario = || {
-            small_lb("sharded")
-                .adversary(AdversarySpec::Bernoulli { p: 0.6 })
-                .drop_burst(3, 20, 0.4)
-                .crash(2, 5, Some(15))
-                .stop(StopSpec::Rounds { rounds: 40 })
-                .trials(3)
-                .build()
-                .unwrap()
-        };
-        let serial = ScenarioRunner::new(scenario()).unwrap();
-        let base = serial.run();
-        for shards in [2, 8] {
-            let sharded = ScenarioRunner::new(scenario()).unwrap().shards(shards);
-            let report = sharded.run();
-            for (a, b) in base.outcomes.iter().zip(&report.outcomes) {
-                assert_eq!(a.master_seed, b.master_seed, "{shards} shards");
-                assert_eq!(a.rounds, b.rounds, "{shards} shards");
-                assert_eq!(a.acks, b.acks, "{shards} shards");
-                assert_eq!(a.recvs, b.recvs, "{shards} shards");
-                assert_eq!(a.totals, b.totals, "{shards} shards");
-                assert_eq!(a.first_ack, b.first_ack, "{shards} shards");
-                assert_eq!(a.first_delivery, b.first_delivery, "{shards} shards");
-            }
-            assert_eq!(
-                serial.trial_trace_json(0),
-                sharded.trial_trace_json(0),
-                "{shards} shards: trial-0 trace must be byte-identical"
-            );
         }
     }
 

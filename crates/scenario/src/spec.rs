@@ -551,6 +551,11 @@ impl AdversarySpec {
             AdversarySpec::Alternating { high: 0, low: 0 } => {
                 Err(invalid("adversary: alternating cycle must be non-empty"))
             }
+            AdversarySpec::Alternating { high, low } if high.checked_add(low).is_none() => {
+                Err(invalid(format!(
+                    "adversary: alternating cycle high + low overflows u64 ({high} + {low})"
+                )))
+            }
             AdversarySpec::ContentionPump { cycle: 0 } => {
                 Err(invalid("adversary: pump cycle must be >= 1"))
             }
@@ -558,8 +563,10 @@ impl AdversarySpec {
                 log_delta,
                 threshold,
             } => {
-                if log_delta == 0 {
-                    Err(invalid("adversary: log_delta must be >= 1"))
+                if log_delta == 0 || log_delta > MAX_PUMP_LOG_DELTA {
+                    Err(invalid(format!(
+                        "adversary: log_delta must be in [1, {MAX_PUMP_LOG_DELTA}], got {log_delta}"
+                    )))
                 } else if !(0.0..=1.0).contains(&threshold) {
                     Err(invalid(format!(
                         "adversary: pump threshold must be in [0, 1], got {threshold}"
@@ -1101,6 +1108,15 @@ pub const MAX_STOP_PHASES: u64 = 1_000_000;
 /// that per-node seed buffers stay bounded.
 pub const MAX_SEED_BITS: usize = 4096;
 
+/// Upper bound on a scenario's trial count, and on the trials one
+/// campaign runs in total (runs keep one outcome per trial in memory).
+pub const MAX_TRIALS: usize = 100_000;
+
+/// Upper bound on `MaskedPumpAgainstDecay`'s `log_delta` (the pump
+/// builds one mask entry per rung; a Decay ladder over
+/// [`MAX_TOPOLOGY_NODES`] vertices has 20).
+pub const MAX_PUMP_LOG_DELTA: u32 = 64;
+
 impl StopSpec {
     /// The explicit round horizon, when the stop condition names one
     /// (`Rounds` and `FirstDeliveryAt`; `Phases`/`Complete` derive
@@ -1275,12 +1291,6 @@ impl TransportSpec {
         }
     }
 
-    /// Whether this is the default simulator transport (used to omit the
-    /// field from serialized scenarios, keeping pre-transport JSON stable).
-    pub fn is_sim(&self) -> bool {
-        matches!(self, TransportSpec::Sim)
-    }
-
     /// A mock-net transport with no delay, loss, or partitions — the
     /// configuration whose executions byte-compare equal to the
     /// simulator's.
@@ -1380,8 +1390,11 @@ impl Scenario {
         if self.name.is_empty() {
             return Err(invalid("name must be non-empty"));
         }
-        if self.trials == 0 {
-            return Err(invalid("trials must be >= 1"));
+        if self.trials == 0 || self.trials > MAX_TRIALS {
+            return Err(invalid(format!(
+                "trials must be in [1, {MAX_TRIALS}], got {}",
+                self.trials
+            )));
         }
         self.topology.validate()?;
         self.adversary.validate()?;

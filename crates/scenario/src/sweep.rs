@@ -27,7 +27,7 @@
 //! `mobility` — the epoch-staleness quantization curve), and
 //! `scale-curve` (node count up to 50k × link-inclusion probability on
 //! a constant-density deployment — the scale-out throughput curve the
-//! bucketed topology builder and sharded engine make practical).
+//! bucketed topology builder makes practical).
 //! `docs/scenarios.md` explains how each base is re-aimed.
 
 use crate::campaign::{Campaign, CampaignReport, MeasuredMetrics};

@@ -1,16 +1,15 @@
 //! Dynamic-geometry invariants.
 //!
 //! * A **single-epoch** timeline is byte-identical to the static path:
-//!   same trace JSON, same outcomes, whatever the adversary, fault
-//!   plan, or shard count (the load-bearing refactor invariant — all
-//!   pre-existing goldens ride on it).
+//!   same trace JSON, same outcomes, whatever the adversary or fault
+//!   plan (the load-bearing refactor invariant — all pre-existing
+//!   goldens ride on it).
 //! * A **parked** (speed 0) multi-epoch timeline with a velocity-0 disc
 //!   jam also matches the static path: per-epoch resolution emits
 //!   contiguous same-set windows, and jam transitions are edge-triggered
 //!   on the per-round mask.
 //! * A **moving** jam resolves to genuinely different node sets across
-//!   epochs, and mobility trials replay byte-identically regardless of
-//!   shard count.
+//!   epochs, and mobility trials replay byte-identically.
 
 use proptest::prelude::*;
 use scenario::prelude::*;
@@ -53,8 +52,8 @@ fn arena(topo_seed: u64, base_seed: u64, adv_p: f64, fault_kind: u8) -> Scenario
     }
 }
 
-fn trace_and_outcome(s: Scenario, shards: usize) -> (String, TrialOutcome) {
-    let runner = ScenarioRunner::new(s).unwrap().shards(shards);
+fn trace_and_outcome(s: Scenario) -> (String, TrialOutcome) {
+    let runner = ScenarioRunner::new(s).unwrap();
     (runner.trial_trace_json(0), runner.run_trial(0))
 }
 
@@ -64,13 +63,11 @@ fn single_epoch_timeline_is_byte_identical_to_the_static_path() {
     // epoch_rounds = horizon => one epoch; nonzero speed never gets to
     // move anything because no second epoch is ever built.
     let mobile = arena(5, 77, 0.5, 2).mobility(0.004, 90).build().unwrap();
-    for shards in [1, 3] {
-        let (ts, os) = trace_and_outcome(statics.clone(), shards);
-        let (tm, om) = trace_and_outcome(mobile.clone(), shards);
-        assert!(ts.contains("JamStart"), "the fault plan actually fires");
-        assert_eq!(ts, tm, "single-epoch trace drifted (shards {shards})");
-        assert_eq!(os, om, "single-epoch outcome drifted (shards {shards})");
-    }
+    let (ts, os) = trace_and_outcome(statics);
+    let (tm, om) = trace_and_outcome(mobile.clone());
+    assert!(ts.contains("JamStart"), "the fault plan actually fires");
+    assert_eq!(ts, tm, "single-epoch trace drifted");
+    assert_eq!(os, om, "single-epoch outcome drifted");
     let runner = ScenarioRunner::new(mobile).unwrap();
     let tl = runner.timeline().expect("mobility scenario has a timeline");
     assert!(tl.is_single(), "epoch_rounds = horizon compiles to one epoch");
@@ -90,8 +87,8 @@ fn parked_mobility_with_a_velocity_zero_disc_matches_static() {
         runner.fault_plan().jams.len() > 1,
         "per-epoch resolution splits the window"
     );
-    let (ts, os) = trace_and_outcome(statics, 1);
-    let (tp, op) = trace_and_outcome(parked, 1);
+    let (ts, os) = trace_and_outcome(statics);
+    let (tp, op) = trace_and_outcome(parked);
     assert_eq!(ts, tp, "parked multi-epoch trace drifted from static");
     assert_eq!(os, op);
 }
@@ -117,31 +114,28 @@ fn moving_jam_resolves_a_different_node_set_per_epoch() {
 }
 
 #[test]
-fn mobility_trials_replay_byte_identical_and_shard_independent() {
+fn mobility_trials_replay_byte_identical() {
     let mut s = registry::find("mobility").unwrap();
     s.trials = 1;
     let a = ScenarioRunner::new(s.clone()).unwrap();
-    let b = ScenarioRunner::new(s.clone()).unwrap();
-    let sharded = ScenarioRunner::new(s).unwrap().shards(3);
+    let b = ScenarioRunner::new(s).unwrap();
     let ta = a.trial_trace_json(0);
     assert!(!ta.is_empty());
     assert_eq!(ta, b.trial_trace_json(0), "fresh runner replay drifted");
-    assert_eq!(ta, sharded.trial_trace_json(0), "shard count changed the bytes");
-    assert_eq!(a.run_trial(0), sharded.run_trial(0));
+    assert_eq!(a.run_trial(0), b.run_trial(0));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Single-epoch timelines match the static path across adversary
-    /// strengths, fault plans, shard counts, and node speeds.
+    /// strengths, fault plans, and node speeds.
     #[test]
     fn single_epoch_equals_static_under_random_settings(
         topo_seed in 0u64..200,
         base_seed in 0u64..500,
         adv_p in 0.1f64..0.9,
         fault_kind in 0u8..4,
-        shards in 1usize..4,
         speed in 0.0f64..0.01,
     ) {
         let statics = arena(topo_seed, base_seed, adv_p, fault_kind)
@@ -151,8 +145,8 @@ proptest! {
             .mobility(speed, 90)
             .build()
             .unwrap();
-        let (ts, os) = trace_and_outcome(statics, shards);
-        let (tm, om) = trace_and_outcome(mobile, shards);
+        let (ts, os) = trace_and_outcome(statics);
+        let (tm, om) = trace_and_outcome(mobile);
         prop_assert_eq!(ts, tm, "single-epoch trace drifted");
         prop_assert_eq!(os, om, "single-epoch outcome drifted");
     }

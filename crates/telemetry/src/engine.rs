@@ -1,11 +1,10 @@
 //! Engine-side metric sink.
 //!
 //! [`EngineMetrics`] is the fixed-shape accumulator `radio_sim::Engine`
-//! owns when telemetry is enabled: per-phase round timing, per-shard
-//! busy time, a round-duration histogram, and cumulative channel
-//! counters. Everything is a fixed slot or a vector allocated once at
-//! construction, so recording inside the round loop never allocates
-//! (the PR 4 counting-allocator contract).
+//! owns when telemetry is enabled: per-phase round timing, a
+//! round-duration histogram, and cumulative channel counters. Every
+//! field is a fixed slot, so recording inside the round loop never
+//! allocates (the PR 4 counting-allocator contract).
 //!
 //! Counters and the counter side of `merge` are deterministic: they
 //! are pure functions of the simulated execution and sum
@@ -25,8 +24,7 @@ pub enum EnginePhase {
     Inputs = 1,
     /// Per-process transmit decisions.
     Transmit = 2,
-    /// Scheduler edge selection + reception resolution (serial scatter
-    /// or sharded gather).
+    /// Scheduler edge selection + reception resolution.
     Resolve = 3,
     /// Per-listener delivery and `on_receive` callbacks.
     Deliver = 4,
@@ -41,16 +39,12 @@ pub const ENGINE_PHASE_NAMES: [&str; ENGINE_PHASES] =
     ["faults", "inputs", "transmit", "resolve", "deliver", "outputs"];
 
 /// Telemetry accumulated by one engine over its lifetime.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineMetrics {
     /// Rounds stepped while telemetry was attached.
     pub rounds: u64,
     /// Cumulative nanoseconds per step phase (`EnginePhase` order).
     pub phase_ns: [u64; ENGINE_PHASES],
-    /// Cumulative busy nanoseconds per reception-resolution shard.
-    /// Slot 0 is the serial resolver; sharded resolution fills one
-    /// slot per worker chunk.
-    pub shard_busy_ns: Vec<u64>,
     /// Distribution of whole-round durations (ns).
     pub round_ns: Histogram,
     /// Processes that transmitted, summed over rounds.
@@ -73,23 +67,9 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// A zeroed sink with `shards` busy slots (min 1). The vector is
-    /// the only heap allocation, paid once here.
-    pub fn new(shards: usize) -> Self {
-        EngineMetrics {
-            rounds: 0,
-            phase_ns: [0; ENGINE_PHASES],
-            shard_busy_ns: vec![0; shards.max(1)],
-            round_ns: Histogram::new(),
-            transmissions: 0,
-            deliveries: 0,
-            collisions: 0,
-            silent: 0,
-            jammed: 0,
-            dropped: 0,
-            down_node_rounds: 0,
-            epoch_switches: 0,
-        }
+    /// A zeroed sink.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Fold one round's phase laps in: bumps `rounds`, accumulates the
@@ -118,12 +98,6 @@ impl EngineMetrics {
         for (a, b) in self.phase_ns.iter_mut().zip(other.phase_ns) {
             *a += b;
         }
-        if self.shard_busy_ns.len() < other.shard_busy_ns.len() {
-            self.shard_busy_ns.resize(other.shard_busy_ns.len(), 0);
-        }
-        for (a, b) in self.shard_busy_ns.iter_mut().zip(other.shard_busy_ns.iter()) {
-            *a += b;
-        }
         self.round_ns.merge(&other.round_ns);
         self.transmissions += other.transmissions;
         self.deliveries += other.deliveries;
@@ -142,7 +116,7 @@ mod tests {
 
     #[test]
     fn record_round_accumulates_phases_and_histogram() {
-        let mut m = EngineMetrics::new(2);
+        let mut m = EngineMetrics::new();
         m.record_round([1, 2, 3, 4, 5, 6]);
         m.record_round([10, 20, 30, 40, 50, 60]);
         assert_eq!(m.rounds, 2);
@@ -155,27 +129,25 @@ mod tests {
 
     #[test]
     fn merge_is_order_invariant_on_counters() {
-        let mut a = EngineMetrics::new(1);
+        let mut a = EngineMetrics::new();
         a.record_round([5; ENGINE_PHASES]);
         a.deliveries = 7;
         a.collisions = 2;
         a.epoch_switches = 1;
-        let mut b = EngineMetrics::new(4);
+        let mut b = EngineMetrics::new();
         b.record_round([9; ENGINE_PHASES]);
         b.deliveries = 3;
         b.epoch_switches = 2;
-        b.shard_busy_ns = vec![1, 2, 3, 4];
 
-        let mut ab = EngineMetrics::new(1);
+        let mut ab = EngineMetrics::new();
         ab.merge(&a);
         ab.merge(&b);
-        let mut ba = EngineMetrics::new(1);
+        let mut ba = EngineMetrics::new();
         ba.merge(&b);
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.rounds, 2);
         assert_eq!(ab.deliveries, 10);
         assert_eq!(ab.epoch_switches, 3);
-        assert_eq!(ab.shard_busy_ns, vec![1, 2, 3, 4]);
     }
 }

@@ -14,7 +14,7 @@
 //! PR 4 counting-allocator contract with telemetry enabled).
 //!
 //! `merge` is element-wise addition, hence commutative and associative:
-//! merging per-shard or per-worker histograms yields byte-identical
+//! merging per-trial or per-worker histograms yields byte-identical
 //! state regardless of merge order — the property the cross-`--threads`
 //! determinism tests pin.
 

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use crate::engine::{EngineMetrics, ENGINE_PHASES, ENGINE_PHASE_NAMES};
 use crate::hist::Histogram;
 
-pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
+pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
 
 /// Sparse serialized form of a [`Histogram`]: summary statistics plus
 /// parallel arrays of occupied-bucket lower bounds and counts.
@@ -98,11 +98,10 @@ pub struct MetaRecord {
     pub scenarios: usize,
     pub trials: usize,
     pub threads: usize,
-    pub shards: usize,
 }
 
 impl MetaRecord {
-    pub fn new(mode: &str, label: &str, scenarios: usize, trials: usize, threads: usize, shards: usize) -> Self {
+    pub fn new(mode: &str, label: &str, scenarios: usize, trials: usize, threads: usize) -> Self {
         MetaRecord {
             kind: "meta".into(),
             schema_version: JOURNAL_SCHEMA_VERSION,
@@ -111,7 +110,6 @@ impl MetaRecord {
             scenarios,
             trials,
             threads,
-            shards,
         }
     }
 }
@@ -123,7 +121,6 @@ pub struct EngineRecord {
     /// Phase names, parallel to `phase_ns` (`EnginePhase` order).
     pub phase: Vec<String>,
     pub phase_ns: Vec<u64>,
-    pub shard_busy_ns: Vec<u64>,
     pub round_ns: Option<HistogramRecord>,
     pub transmissions: u64,
     pub deliveries: u64,
@@ -144,7 +141,6 @@ impl EngineRecord {
             rounds: m.rounds,
             phase: ENGINE_PHASE_NAMES.iter().map(|s| s.to_string()).collect(),
             phase_ns: m.phase_ns.to_vec(),
-            shard_busy_ns: m.shard_busy_ns.clone(),
             round_ns: HistogramRecord::of(&m.round_ns),
             transmissions: m.transmissions,
             deliveries: m.deliveries,
@@ -382,7 +378,7 @@ mod tests {
     }
 
     fn sample_journal() -> String {
-        let meta = MetaRecord::new("campaign", "test", 2, 6, 4, 1);
+        let meta = MetaRecord::new("campaign", "test", 2, 6, 4);
         let mut s1 = ScenarioRecord::new("e2", 4);
         let mut trial = Histogram::new();
         for v in [10_000u64, 20_000, 30_000, 40_000] {
@@ -390,7 +386,7 @@ mod tests {
         }
         s1.trial_ns = HistogramRecord::of(&trial);
         s1.ack_latency_rounds = HistogramRecord::of(&sample_hist());
-        let mut em = EngineMetrics::new(2);
+        let mut em = EngineMetrics::new();
         em.record_round([1, 2, 3, 4, 5, 6]);
         em.deliveries = 42;
         s1.engine = Some(EngineRecord::of(&em));
@@ -454,6 +450,10 @@ mod tests {
             .join("\n");
         let err = validate_journal(&missing).unwrap_err();
         assert!(err.contains("scenarios"), "{err}");
+        // A v1 journal is refused by version.
+        let v1 = good.replace("\"schema_version\":2", "\"schema_version\":1");
+        let err = validate_journal(&v1).unwrap_err();
+        assert!(err.contains("unsupported schema_version 1"), "{err}");
         // Not JSON at all.
         assert!(validate_journal("meta\nsummary").is_err());
         assert!(validate_journal("").is_err());

@@ -4,9 +4,9 @@
 //!
 //! * **Zero-alloc in steady state.** Counters are fixed slots,
 //!   histograms are fixed 2048-slot arrays, span timers are a single
-//!   optional `Instant`. The only allocations happen at construction
-//!   (one `Vec` for per-shard slots), so `radio_sim::Engine` keeps its
-//!   counting-allocator contract with telemetry enabled.
+//!   optional `Instant`. Nothing allocates after construction, so
+//!   `radio_sim::Engine` keeps its counting-allocator contract with
+//!   telemetry enabled.
 //! * **Determinism-preserving.** Telemetry observes; it never feeds
 //!   back. Counters are pure functions of the simulated execution and
 //!   merge order-invariantly; wall-clock fields are labelled `_ns` and

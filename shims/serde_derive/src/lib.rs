@@ -681,6 +681,16 @@ fn render_named_extraction(
         }
         ctor_fields.push_str(&format!("{fname}: __field_{fname}, "));
     }
+    // Extraction removed the first entry of every field, so a leftover
+    // entry with a field's name repeats it: refuse it, as serde_json does.
+    // (Leftovers with unknown names stay tolerated.)
+    let names: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    out.push_str(&format!(
+        "if let Some((__k, _)) = __entries.iter().find(|(__k, _)| [{}].contains(&__k.as_str())) {{\n\
+           return Err({custom}(format!(\"duplicate field `{{__k}}` in {what}\")));\n\
+         }}\n",
+        names.join(", ")
+    ));
     out.push_str(&format!("Ok({ctor_open} {ctor_fields} }})"));
     out
 }

@@ -527,6 +527,20 @@ mod derive_default_tests {
     fn missing_required_field_still_errors() {
         assert!(from_str::<WithDefault>("{\"extra\": 9}").is_err());
     }
+
+    #[test]
+    fn repeated_fields_are_refused_and_unknown_ones_ignored() {
+        for (json, field) in [
+            ("{\"required\": 6, \"required\": 7}", "required"),
+            ("{\"required\": 1, \"extra\": 2, \"extra\": 3}", "extra"),
+        ] {
+            let err = from_str::<WithDefault>(json).unwrap_err().to_string();
+            let want = format!("duplicate field `{field}`");
+            assert!(err.contains(&want), "{json}: {err}");
+        }
+        let v: WithDefault = from_str("{\"required\": 3, \"other\": 1, \"other\": 2}").unwrap();
+        assert_eq!(v.required, 3);
+    }
 }
 
 #[cfg(test)]
