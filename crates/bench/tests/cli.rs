@@ -179,3 +179,22 @@ fn a_repeated_scenario_field_is_refused() {
     let out = run(env!("CARGO_BIN_EXE_scenario"), &["validate", &path]);
     assert_refused(&out, 1, "duplicate field `trials`", "repeated trials");
 }
+
+#[test]
+fn a_huge_arena_runs_instead_of_overflowing_the_cell_grid() {
+    // 60 nodes over a 1e300-wide square: no pair is in range, and cell
+    // indexing must not overflow on the way to finding that out.
+    let rgg = r#"{"RandomGeometric": {"n": 60, "side": 1e300, "r": 2.0,
+        "grey_reliable_p": 0.1, "grey_unreliable_p": 0.8, "seed": 1}}"#;
+    let data =
+        clique(r#"{"Decay": {"senders": [0]}}"#).replace(r#"{"Clique": {"n": 4, "r": 1.0}}"#, rgg);
+    let path = write_tmp("huge-arena.json", &data);
+    let out = run(env!("CARGO_BIN_EXE_scenario"), &[&path]);
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+}

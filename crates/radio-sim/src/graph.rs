@@ -6,8 +6,8 @@
 //! their per-round presence is decided by a link scheduler.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a graph vertex. The engine assigns process ids separately (the
 /// paper's `id()` mapping); `NodeId` is the *vertex*, not the process id.
@@ -104,7 +104,7 @@ impl std::error::Error for GraphError {}
 /// concatenated into one contiguous array, with per-vertex offsets.
 /// Neighbor scans are cache-linear and return borrowed slices; each
 /// per-vertex segment is sorted, so membership tests binary-search.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq, Eq)]
 struct Csr {
     /// `offsets[u]..offsets[u + 1]` indexes `u`'s segment of `targets`.
     offsets: Vec<usize>,
@@ -113,11 +113,16 @@ struct Csr {
 }
 
 impl Csr {
-    /// Builds the CSR from an edge list over `n` vertices. Each edge
-    /// contributes both directions; segments come out sorted because the
-    /// counting pass fixes exact slot ranges and a per-segment sort
-    /// finishes the (already mostly ordered) fill.
+    /// Builds the CSR from a sorted edge list over `n` vertices. Each edge
+    /// contributes both directions. Segments come out sorted with no
+    /// sorting pass: `u`'s segment receives the `a` endpoints of edges
+    /// `(a, u)` (all below `u`, ascending) before the `b` endpoints of
+    /// edges `(u, b)` (all above `u`, ascending).
     fn build(n: usize, edges: &[Edge]) -> Self {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edges must be sorted"
+        );
         let mut offsets = vec![0usize; n + 1];
         for e in edges {
             offsets[e.a.0 + 1] += 1;
@@ -133,9 +138,6 @@ impl Csr {
             cursor[e.a.0] += 1;
             targets[cursor[e.b.0]] = e.a;
             cursor[e.b.0] += 1;
-        }
-        for u in 0..n {
-            targets[offsets[u]..offsets[u + 1]].sort_unstable();
         }
         Csr { offsets, targets }
     }
@@ -180,6 +182,42 @@ impl Csr {
     }
 }
 
+/// Normalizes one edge class into a sorted, deduplicated list, stopping
+/// at the first endpoint `>= n`: that vertex is returned beside the
+/// edges listed before it. Sorting is O(E log E), and linear when the
+/// input is already in `(a, b)` order, as every generator's is.
+fn sorted_class(
+    n: usize,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+) -> (Vec<Edge>, Option<usize>) {
+    let edges = edges.into_iter();
+    let mut out = Vec::with_capacity(edges.size_hint().0);
+    let mut bad = None;
+    for (u, v) in edges {
+        if let Some(x) = [u, v].into_iter().find(|&x| x >= n) {
+            bad = Some(x);
+            break;
+        }
+        out.push(Edge::new(NodeId(u), NodeId(v)));
+    }
+    out.sort_unstable();
+    out.dedup();
+    (out, bad)
+}
+
+/// The smallest edge in both sorted lists, found by one merge walk.
+fn first_shared(a: &[Edge], b: &[Edge]) -> Option<Edge> {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return Some(a[i]),
+        }
+    }
+    None
+}
+
 /// The dual graph `(G, G')` of Section 2.
 ///
 /// Stored as the reliable edge set `E` and the *extra* edge set `E' \ E`,
@@ -188,8 +226,17 @@ impl Csr {
 /// hot path scans neighbors cache-linearly and never recomputes bounds.
 /// Construction validates that the two sets are disjoint and in range, so a
 /// `DualGraph` value always satisfies the model's structural invariants.
+///
+/// The value is immutable and its storage sits behind one `Arc`: a clone
+/// is O(1) and shares the edge lists and adjacency with the original.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DualGraph {
+    storage: Arc<Storage>,
+}
+
+/// What a [`DualGraph`] shares between its clones.
+#[derive(Debug, PartialEq, Eq)]
+struct Storage {
     n: usize,
     reliable_csr: Csr,
     extra_csr: Csr,
@@ -213,9 +260,9 @@ struct DualGraphWire {
 impl Serialize for DualGraph {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         DualGraphWire {
-            n: self.n,
-            reliable_edges: self.reliable_edges.clone(),
-            extra_edges: self.extra_edges.clone(),
+            n: self.storage.n,
+            reliable_edges: self.storage.reliable_edges.clone(),
+            extra_edges: self.storage.extra_edges.clone(),
         }
         .serialize(serializer)
     }
@@ -237,56 +284,53 @@ impl DualGraph {
     /// Builds a dual graph from `n` vertices, reliable edges `E`, and extra
     /// unreliable edges `E' \ E`.
     ///
-    /// Duplicate edges within one list are deduplicated.
+    /// Duplicate edges within one list are deduplicated. Each list is
+    /// sorted once (linear when it is already in `(a, b)` order), and
+    /// one merge walk checks that the lists are disjoint.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError`] if an endpoint is out of range or an edge
-    /// appears in both lists.
+    /// Returns [`GraphError::VertexOutOfRange`] for the first endpoint
+    /// `>= n` in input order (reliable list first), and
+    /// [`GraphError::DuplicateEdge`] with the smallest edge listed in
+    /// both. An edge shared before the first bad extra endpoint is
+    /// reported ahead of that endpoint, as an input-order scan would.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a self-loop, as [`Edge::new`] does.
     pub fn new(
         n: usize,
         reliable: impl IntoIterator<Item = (usize, usize)>,
         extra: impl IntoIterator<Item = (usize, usize)>,
     ) -> Result<Self, GraphError> {
-        let mut rel = BTreeSet::new();
-        for (u, v) in reliable {
-            for &x in &[u, v] {
-                if x >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: x, n });
-                }
-            }
-            rel.insert(Edge::new(NodeId(u), NodeId(v)));
+        let (reliable_edges, bad) = sorted_class(n, reliable);
+        if let Some(vertex) = bad {
+            return Err(GraphError::VertexOutOfRange { vertex, n });
         }
-        let mut ext = BTreeSet::new();
-        for (u, v) in extra {
-            for &x in &[u, v] {
-                if x >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: x, n });
-                }
-            }
-            let e = Edge::new(NodeId(u), NodeId(v));
-            if rel.contains(&e) {
-                return Err(GraphError::DuplicateEdge(e));
-            }
-            ext.insert(e);
+        let (extra_edges, bad) = sorted_class(n, extra);
+        if let Some(e) = first_shared(&reliable_edges, &extra_edges) {
+            return Err(GraphError::DuplicateEdge(e));
         }
-
-        let reliable_edges: Vec<Edge> = rel.into_iter().collect();
-        let extra_edges: Vec<Edge> = ext.into_iter().collect();
+        if let Some(vertex) = bad {
+            return Err(GraphError::VertexOutOfRange { vertex, n });
+        }
         let reliable_csr = Csr::build(n, &reliable_edges);
         let extra_csr = Csr::build(n, &extra_edges);
         let all_csr = Csr::merge(n, &reliable_csr, &extra_csr);
         let delta = reliable_csr.degree_bound();
         let delta_prime = all_csr.degree_bound();
         Ok(DualGraph {
-            n,
-            reliable_csr,
-            extra_csr,
-            all_csr,
-            reliable_edges,
-            extra_edges,
-            delta,
-            delta_prime,
+            storage: Arc::new(Storage {
+                n,
+                reliable_csr,
+                extra_csr,
+                all_csr,
+                reliable_edges,
+                extra_edges,
+                delta,
+                delta_prime,
+            }),
         })
     }
 
@@ -306,53 +350,53 @@ impl DualGraph {
     /// Number of vertices `|V|`. The paper calls this `n`; crucially, the
     /// *algorithms* never read it — only analysis code does.
     pub fn len(&self) -> usize {
-        self.n
+        self.storage.n
     }
 
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.storage.n == 0
     }
 
     /// Iterator over all vertices.
     pub fn vertices(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.n).map(NodeId)
+        (0..self.storage.n).map(NodeId)
     }
 
     /// `N_G(u)`: reliable neighbors of `u`, excluding `u` itself.
     pub fn reliable_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.reliable_csr.neighbors(u.0)
+        self.storage.reliable_csr.neighbors(u.0)
     }
 
     /// Neighbors of `u` through *extra* (unreliable-only) edges.
     pub fn extra_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.extra_csr.neighbors(u.0)
+        self.storage.extra_csr.neighbors(u.0)
     }
 
     /// `N_{G'}(u)`: all neighbors of `u` in `G'`, excluding `u` — a
     /// borrowed, sorted slice of the precomputed merged adjacency.
     pub fn all_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.all_csr.neighbors(u.0)
+        self.storage.all_csr.neighbors(u.0)
     }
 
     /// Whether `{u, v} ∈ E`.
     pub fn is_reliable_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u != v && self.reliable_csr.neighbors(u.0).binary_search(&v).is_ok()
+        u != v && self.reliable_neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Whether `{u, v} ∈ E'` (reliable or unreliable).
     pub fn is_any_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u != v && self.all_csr.neighbors(u.0).binary_search(&v).is_ok()
+        u != v && self.all_neighbors(u).binary_search(&v).is_ok()
     }
 
     /// The reliable edge list `E`.
     pub fn reliable_edges(&self) -> &[Edge] {
-        &self.reliable_edges
+        &self.storage.reliable_edges
     }
 
     /// The extra edge list `E' \ E`.
     pub fn extra_edges(&self) -> &[Edge] {
-        &self.extra_edges
+        &self.storage.extra_edges
     }
 
     /// `Δ`: the maximum over `u` of `|N_G(u) ∪ {u}|`.
@@ -361,19 +405,20 @@ impl DualGraph {
     /// engine passes it to every process at start. Precomputed at
     /// construction; this accessor is free.
     pub fn delta(&self) -> usize {
-        self.delta
+        self.storage.delta
     }
 
     /// `Δ'`: the maximum over `u` of `|N_{G'}(u) ∪ {u}|`. Precomputed at
     /// construction; this accessor is free.
     pub fn delta_prime(&self) -> usize {
-        self.delta_prime
+        self.storage.delta_prime
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn triangle() -> DualGraph {
         // 0-1 reliable, 1-2 reliable, 0-2 unreliable.

@@ -17,7 +17,7 @@
 //! `last_sender` needs no reset between rounds: it is only read where
 //! `tx_neighbors` is nonzero, which implies a write in the same call.
 
-use crate::graph::{DualGraph, NodeId};
+use crate::graph::{DualGraph, Edge, NodeId};
 use crate::scheduler::EdgeSelection;
 
 /// The scatter-form resolution: walk each transmitter's neighborhood,
@@ -43,31 +43,31 @@ pub fn resolve_receptions_serial(
             last_sender[u.0] = NodeId(v);
         }
     }
-    let mut apply_edge = |a: NodeId, b: NodeId| {
-        if transmitting[a.0] {
-            tx_neighbors[b.0] += 1;
-            last_sender[b.0] = a;
-        }
-        if transmitting[b.0] {
-            tx_neighbors[a.0] += 1;
-            last_sender[a.0] = b;
+    // One loop over the round's present extra edges, with the update
+    // written inline: a per-edge closure shared by two loops stayed out
+    // of line, and its code alignment swung all-edges trials by 10–15%
+    // between builds that compiled this loop to the same instructions.
+    let present: &[Edge] = match selection {
+        EdgeSelection::All => graph.extra_edges(),
+        EdgeSelection::None => &[],
+        EdgeSelection::Subset(edges) => {
+            debug_assert!(
+                edges
+                    .iter()
+                    .all(|e| graph.extra_edges().binary_search(e).is_ok()),
+                "scheduler returned an edge outside E' \\ E"
+            );
+            edges
         }
     };
-    match selection {
-        EdgeSelection::All => {
-            for e in graph.extra_edges() {
-                apply_edge(e.a, e.b);
-            }
+    for e in present {
+        if transmitting[e.a.0] {
+            tx_neighbors[e.b.0] += 1;
+            last_sender[e.b.0] = e.a;
         }
-        EdgeSelection::None => {}
-        EdgeSelection::Subset(edges) => {
-            for e in edges {
-                debug_assert!(
-                    graph.extra_edges().binary_search(e).is_ok(),
-                    "scheduler returned edge {e:?} outside E' \\ E"
-                );
-                apply_edge(e.a, e.b);
-            }
+        if transmitting[e.b.0] {
+            tx_neighbors[e.a.0] += 1;
+            last_sender[e.a.0] = e.b;
         }
     }
 }

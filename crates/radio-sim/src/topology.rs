@@ -50,9 +50,9 @@ impl Topology {
 }
 
 /// The O(n²) all-pairs construction, retained as the byte-identity oracle
-/// for the bucketed path: it defines the canonical `(u, v)` lexicographic
-/// order in which `grey_decision` (and hence any wiring RNG behind it) is
-/// consumed.
+/// for the cell-grid path: it defines the canonical `(u, v)`
+/// lexicographic order in which `grey_decision` (and hence any wiring
+/// RNG behind it) is consumed.
 fn build_from_embedding_reference(
     emb: Embedding,
     r: f64,
@@ -84,50 +84,132 @@ fn build_from_embedding_reference(
     }
 }
 
-/// Spatially bucketed construction: grid-hashes the embedding into cells
-/// of side `max(1, r)` and examines only candidate pairs from the same or
-/// neighboring cells — any pair at distance ≤ `max(1, r)` lands there, and
-/// pairs further apart get no edge and consume no randomness in the
-/// reference either. Per node, candidates are visited in ascending vertex
-/// order, so `grey_decision` is called in the exact `(u, v)` lexicographic
-/// order of [`build_from_embedding_reference`]: output and RNG consumption
-/// are byte-identical while construction drops from O(n²) to
-/// O(n · neighborhood).
+/// Vertices counting-sorted into a dense row-major grid of square cells
+/// spanning the embedding's bounding box, for the candidate scan of
+/// [`build_from_embedding`]. Cells are at least `reach` wide, so any
+/// pair at distance ≤ `reach` lies in the same or adjacent cells.
+struct CellGrid {
+    cols: usize,
+    rows: usize,
+    /// The cell of each vertex, `row · cols + col`.
+    cell: Vec<usize>,
+    /// `start[c]..start[c + 1]` indexes cell `c`'s slice of `members`.
+    start: Vec<usize>,
+    /// Vertices grouped by cell, ascending within each cell.
+    members: Vec<usize>,
+}
+
+impl CellGrid {
+    /// Grids a nonempty embedding of finite points into at most `2n`
+    /// cells. A sparse layout gets cells wider than `reach` instead of
+    /// more cells; wider cells only add candidates, never lose a pair.
+    /// Everything is computed from halved coordinates, whose spans stay
+    /// finite for any finite input, and indexed from the bounding-box
+    /// minimum, so negative coordinates need no offset.
+    fn new(emb: &Embedding, reach: f64) -> Self {
+        let n = emb.len();
+        debug_assert!(n > 0, "the grid needs a vertex to span");
+        let (mut lo_x, mut lo_y) = (f64::INFINITY, f64::INFINITY);
+        let (mut hi_x, mut hi_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in emb.iter() {
+            lo_x = lo_x.min(p.x * 0.5);
+            hi_x = hi_x.max(p.x * 0.5);
+            lo_y = lo_y.min(p.y * 0.5);
+            hi_y = hi_y.max(p.y * 0.5);
+        }
+        let (span_x, span_y) = (hi_x - lo_x, hi_y - lo_y);
+        let cap = 2.0 * n as f64;
+        let dims = |half: f64| ((span_x / half).floor() + 1.0, (span_y / half).floor() + 1.0);
+        // Half the cell side. The relative slack of 2⁻²⁰ keeps a pair at
+        // distance exactly `reach` in adjacent cells despite rounding.
+        let mut half =
+            (0.5 * reach * (1.0 + 1.0 / f64::from(1u32 << 20))).max(span_x.max(span_y) / cap);
+        let (cols, rows) = loop {
+            let (cols, rows) = dims(half);
+            if cols * rows <= cap {
+                break (cols as usize, rows as usize);
+            }
+            half *= 2.0;
+        };
+        // `as usize` floors these non-negative quotients; rounding is
+        // monotone, so the largest is `cols - 1` (`rows - 1`).
+        let cell: Vec<usize> = emb
+            .iter()
+            .map(|p| {
+                let x = ((p.x * 0.5 - lo_x) / half) as usize;
+                let y = ((p.y * 0.5 - lo_y) / half) as usize;
+                y * cols + x
+            })
+            .collect();
+        // Counting sort: `start[c]` first counts cell `c`, then (prefix
+        // sums) marks its end, and the reverse fill moves it down to the
+        // cell's beginning while keeping members ascending.
+        let mut start = vec![0usize; cols * rows + 1];
+        for &c in &cell {
+            start[c] += 1;
+        }
+        for c in 1..cols * rows {
+            start[c] += start[c - 1];
+        }
+        start[cols * rows] = n;
+        let mut members = vec![0usize; n];
+        for u in (0..n).rev() {
+            start[cell[u]] -= 1;
+            members[start[cell[u]]] = u;
+        }
+        CellGrid {
+            cols,
+            rows,
+            cell,
+            start,
+            members,
+        }
+    }
+
+    /// Appends to `out` every vertex above `u` in `u`'s cell and the
+    /// (up to 8) cells around it, as up to 9 ascending runs.
+    fn candidates(&self, u: usize, out: &mut Vec<usize>) {
+        let (x, y) = (self.cell[u] % self.cols, self.cell[u] / self.cols);
+        let (x0, x1) = (x.saturating_sub(1), (x + 1).min(self.cols - 1));
+        for row in y.saturating_sub(1)..=(y + 1).min(self.rows - 1) {
+            // A row's three cells are adjacent in `members`: one slice.
+            let (first, last) = (row * self.cols + x0, row * self.cols + x1);
+            let run = &self.members[self.start[first]..self.start[last + 1]];
+            out.extend(run.iter().copied().filter(|&v| v > u));
+        }
+    }
+}
+
+/// Cell-grid construction: sorts the embedding into a [`CellGrid`]
+/// of cells at least `max(1, r)` wide and examines only candidate pairs
+/// from the same or neighboring cells — any pair at distance ≤
+/// `max(1, r)` lands there, and pairs further apart get no edge and
+/// consume no randomness in the reference either. Per node, candidates
+/// are visited in ascending vertex order, so `grey_decision` is called in
+/// the exact `(u, v)` lexicographic order of
+/// [`build_from_embedding_reference`]: output and RNG consumption are
+/// byte-identical while construction drops from O(n²) to
+/// O(n · neighborhood), with at most `2n` cells for any finite input.
 fn build_from_embedding(
     emb: Embedding,
     r: f64,
     mut grey_decision: impl FnMut(usize, usize, f64) -> GreyKind,
 ) -> Topology {
     let n = emb.len();
-    // Non-finite coordinates make floor-based cell hashing ill-defined;
+    // Non-finite coordinates make floor-based cell indexing ill-defined;
     // such pairs compare false against every threshold, and the reference
-    // handles them uniformly.
+    // handles them uniformly (as it does the empty embedding).
     let finite = emb.iter().all(|p| p.x.is_finite() && p.y.is_finite());
-    if !finite || !r.is_finite() {
+    if n == 0 || !finite || !r.is_finite() {
         return build_from_embedding_reference(emb, r, grey_decision);
     }
-    let reach = r.max(1.0);
-    let cell = |p: Point| ((p.x / reach).floor() as i64, (p.y / reach).floor() as i64);
-    let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
-        std::collections::HashMap::new();
-    for u in 0..n {
-        // Vertices are inserted in ascending order, so every bucket's
-        // member list is sorted.
-        buckets.entry(cell(emb.position(u))).or_default().push(u);
-    }
+    let grid = CellGrid::new(&emb, r.max(1.0));
     let mut reliable = Vec::new();
     let mut extra = Vec::new();
     let mut candidates: Vec<usize> = Vec::new();
     for u in 0..n {
-        let (cx, cy) = cell(emb.position(u));
         candidates.clear();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(members) = buckets.get(&(cx + dx, cy + dy)) {
-                    candidates.extend(members.iter().copied().filter(|&v| v > u));
-                }
-            }
-        }
+        grid.candidates(u, &mut candidates);
         // Restore global ascending order across the up-to-9 sorted runs.
         candidates.sort_unstable();
         for &v in &candidates {
@@ -284,8 +366,8 @@ fn rgg_wiring(
 
 /// A random geometric dual graph: nodes placed uniformly in a
 /// `side × side` square; pairs within distance 1 are reliable; grey-zone
-/// pairs are wired per the probabilities in `params`. Construction is
-/// spatially bucketed (O(n · neighborhood), not O(n²)), byte-identical to
+/// pairs are wired per the probabilities in `params`. Construction scans
+/// a cell grid (O(n · neighborhood), not O(n²)), byte-identical to
 /// [`random_geometric_reference`].
 ///
 /// # Panics
@@ -310,7 +392,7 @@ pub fn try_random_geometric(params: RggParams) -> Result<Topology, RggError> {
 }
 
 /// The O(n²) all-pairs reference construction of [`random_geometric`],
-/// retained as the byte-identity test oracle for the bucketed path.
+/// retained as the byte-identity test oracle for the cell-grid path.
 ///
 /// # Panics
 ///
@@ -615,7 +697,7 @@ impl Walker {
 /// deployment: epoch 0 is exactly [`random_geometric`]`(params)` (same
 /// placement, same grey wiring, same RNG consumption), and each later
 /// epoch advances every node `epoch_rounds · speed` distance units along
-/// its waypoint path, then rebuilds adjacency with the bucketed
+/// its waypoint path, then rebuilds adjacency with the cell-grid
 /// constructor.
 ///
 /// Randomness discipline (`StreamKind::Mobility`):
@@ -844,7 +926,9 @@ mod tests {
     #[test]
     fn bucketed_rgg_matches_reference_oracle() {
         // Several (n, side, r, grey) shapes: dense single-cell, sparse
-        // many-cell, r = 1 (no grey zone), and skewed grey probabilities.
+        // many-cell, r = 1 (no grey zone), skewed grey probabilities, and
+        // arenas so wide the grid must coarsen (where cell indexing once
+        // overflowed).
         for (n, side, r, gr, gu, seed) in [
             (40, 3.0, 2.0, 0.1, 0.8, 5),
             (1, 1.0, 1.0, 0.5, 0.5, 0),
@@ -852,6 +936,8 @@ mod tests {
             (80, 12.0, 1.0, 0.3, 0.3, 23),
             (120, 9.0, 1.75, 1.0, 0.0, 7),
             (50, 40.0, 3.0, 0.5, 0.5, 99),
+            (60, 1e300, 2.0, 0.1, 0.8, 3),
+            (20, 1e12, 1.5, 0.5, 0.5, 4),
         ] {
             let params = RggParams {
                 n,
@@ -885,6 +971,70 @@ mod tests {
         assert!(t
             .graph
             .is_reliable_edge(crate::graph::NodeId(0), crate::graph::NodeId(1)));
+    }
+
+    #[test]
+    fn cell_grid_matches_the_reference_on_mixed_sign_coordinates() {
+        // A 9×9 lattice straddling both axes (spacing 0.7, so r = 2
+        // gives reliable, grey and absent pairs) on a fine 3×3 grid;
+        // then with a close pair far in the negative quadrant, and with
+        // points at opposite ends of the f64 range (coarsened grids).
+        let lattice: Vec<Point> = (0..81)
+            .map(|i| Point::new((i % 9) as f64 * 0.7 - 2.8, (i / 9) as f64 * 0.7 - 2.8))
+            .collect();
+        let far_pair = [Point::new(-1e6, -1e6), Point::new(-1e6 + 1.5, -1e6)];
+        let extremes = [Point::new(-1.7e308, 1.7e308), Point::new(1.7e308, -1.7e308)];
+        for extra in [&[][..], &far_pair, &extremes] {
+            let emb = Embedding::new(lattice.iter().chain(extra).copied().collect());
+            let t = from_embedding(emb.clone(), 2.0, GreyKind::Unreliable);
+            let r = build_from_embedding_reference(emb, 2.0, |_, _, _| GreyKind::Unreliable);
+            assert_eq!(t.graph, r.graph, "{} extra points", extra.len());
+            assert!(!t.graph.extra_edges().is_empty());
+        }
+    }
+
+    #[test]
+    fn cell_grid_never_exceeds_two_cells_per_vertex() {
+        let spread = |n: usize, scale: f64| {
+            Embedding::new(
+                (0..n)
+                    .map(|i| Point::new(i as f64 * scale, (i * i % 7) as f64 * scale))
+                    .collect(),
+            )
+        };
+        for (emb, reach) in [
+            (spread(1, 1.0), 1.0),
+            (spread(2, 1e300), 1.0),
+            (spread(3, 0.1), 5.0),
+            (spread(50, 0.3), 1.5),
+            (spread(50, 40.0), 1.0),
+            (spread(200, 1e-300), 1.0),
+            (spread(60, 1e306), 2.0),
+            (
+                Embedding::new(vec![
+                    Point::new(-f64::MAX, f64::MAX),
+                    Point::new(f64::MAX, -f64::MAX),
+                ]),
+                1.0,
+            ),
+        ] {
+            let n = emb.len();
+            let grid = CellGrid::new(&emb, reach);
+            assert!(
+                grid.cols * grid.rows <= 2 * n,
+                "{} cells for {n} vertices",
+                grid.cols * grid.rows
+            );
+            assert_eq!(grid.start.len(), grid.cols * grid.rows + 1);
+            assert!(grid.cell.iter().all(|&c| c < grid.cols * grid.rows));
+            // Every vertex is a member of its own cell, once.
+            let mut seen = grid.members.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>());
+            for (u, &c) in grid.cell.iter().enumerate() {
+                assert!(grid.members[grid.start[c]..grid.start[c + 1]].contains(&u));
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests for the model substrate: geometry invariants,
-//! dual graph structure, topology generators, and engine determinism.
+//! dual graph structure (checked against a `BTreeSet` reference
+//! construction), topology generators, and engine determinism.
 
 use proptest::prelude::*;
 use radio_sim::geometry::{Point, RegionPartition};
-use radio_sim::graph::{DualGraph, Edge, NodeId};
+use radio_sim::graph::{DualGraph, Edge, GraphError, NodeId};
 use radio_sim::topology::{self, RggParams};
+use std::collections::BTreeSet;
 
 fn point_strategy() -> impl Strategy<Value = Point> {
     (-50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y)| Point::new(x, y))
@@ -189,6 +191,110 @@ proptest! {
             for &v in members {
                 prop_assert!(seen.insert(v));
             }
+        }
+    }
+}
+
+/// The reference construction of a dual graph: both edge classes
+/// inserted one edge at a time, in input order, into `BTreeSet`s, with
+/// each extra edge looked up in the reliable set as it arrives.
+fn reference_edges(
+    n: usize,
+    reliable: &[(usize, usize)],
+    extra: &[(usize, usize)],
+) -> Result<(BTreeSet<Edge>, BTreeSet<Edge>), GraphError> {
+    let mut rel = BTreeSet::new();
+    for &(u, v) in reliable {
+        if let Some(vertex) = [u, v].into_iter().find(|&x| x >= n) {
+            return Err(GraphError::VertexOutOfRange { vertex, n });
+        }
+        rel.insert(Edge::new(NodeId(u), NodeId(v)));
+    }
+    let mut ext = BTreeSet::new();
+    for &(u, v) in extra {
+        if let Some(vertex) = [u, v].into_iter().find(|&x| x >= n) {
+            return Err(GraphError::VertexOutOfRange { vertex, n });
+        }
+        let e = Edge::new(NodeId(u), NodeId(v));
+        if rel.contains(&e) {
+            return Err(GraphError::DuplicateEdge(e));
+        }
+        ext.insert(e);
+    }
+    Ok((rel, ext))
+}
+
+/// `u`'s neighbors through `edges`, sorted.
+fn reference_neighbors<'a>(edges: impl IntoIterator<Item = &'a Edge>, u: NodeId) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = edges.into_iter().filter_map(|e| e.try_other(u)).collect();
+    out.sort_unstable();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dual_graph_construction_matches_the_btreeset_reference(
+        n in 2usize..64,
+        pool in collection::vec((0usize..1000, 0usize..1000, 0u8..64), 0..48),
+        bad in 0usize..200,
+    ) {
+        // Each pool entry is an edge over `0..n` in random order; its tag
+        // lists it as reliable, as extra with reversed endpoints, twice
+        // in one class, or (rarely) in both classes. `bad` plants one
+        // out-of-range endpoint in about an eighth of the cases.
+        let (mut reliable, mut extra) = (Vec::new(), Vec::new());
+        for (i, &(a, b, tag)) in pool.iter().enumerate() {
+            let (u, mut v) = (a % n, b % n);
+            if u == v {
+                continue;
+            }
+            if i == bad {
+                v = n + a % 3;
+            }
+            match tag {
+                0..=29 => reliable.push((u, v)),
+                30..=59 => extra.push((v, u)),
+                60 | 61 => reliable.extend([(u, v), (v, u)]),
+                62 => extra.extend([(u, v), (u, v)]),
+                _ => {
+                    reliable.push((u, v));
+                    extra.push((v, u));
+                }
+            }
+        }
+        let got = DualGraph::new(n, reliable.iter().copied(), extra.iter().copied());
+        match (got, reference_edges(n, &reliable, &extra)) {
+            (Ok(g), Ok((rel, ext))) => {
+                prop_assert_eq!(g.reliable_edges(), rel.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(g.extra_edges(), ext.iter().copied().collect::<Vec<_>>());
+                let (mut delta, mut delta_prime) = (1, 1);
+                for u in g.vertices() {
+                    let r = reference_neighbors(&rel, u);
+                    let all = reference_neighbors(rel.iter().chain(&ext), u);
+                    prop_assert_eq!(g.reliable_neighbors(u), r.as_slice());
+                    prop_assert_eq!(g.extra_neighbors(u), reference_neighbors(&ext, u));
+                    prop_assert_eq!(g.all_neighbors(u), all.as_slice());
+                    delta = delta.max(r.len() + 1);
+                    delta_prime = delta_prime.max(all.len() + 1);
+                }
+                prop_assert_eq!(g.delta(), delta);
+                prop_assert_eq!(g.delta_prime(), delta_prime);
+                // Sorted input (the generators' case) builds the same graph.
+                let pairs = |es: &[Edge]| es.iter().map(|e| (e.a.0, e.b.0)).collect::<Vec<_>>();
+                let again = DualGraph::new(n, pairs(g.reliable_edges()), pairs(g.extra_edges()));
+                prop_assert_eq!(again.as_ref(), Ok(&g));
+            }
+            (Err(GraphError::DuplicateEdge(e)), Err(GraphError::DuplicateEdge(_))) => {
+                // The reported edge may differ (smallest shared edge vs
+                // first in input order), but it must be listed in both.
+                let listed = |es: &[(usize, usize)]| {
+                    es.iter().any(|&(u, v)| u < n && v < n && Edge::new(NodeId(u), NodeId(v)) == e)
+                };
+                prop_assert!(listed(&reliable) && listed(&extra), "{:?} is not shared", e);
+            }
+            (got, want) => prop_assert_eq!(got.map(|_| ()), want.map(|_| ())),
         }
     }
 }

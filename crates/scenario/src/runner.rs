@@ -297,8 +297,10 @@ impl ScenarioRunner {
     /// Returns the first validation failure (see [`Scenario::validate`]).
     pub fn new(scenario: Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
-        let topo = scenario.topology.build();
-        let mobility = Self::build_mobility(&scenario)?;
+        let (topo, mobility) = match Self::build_mobility(&scenario)? {
+            Some((topo, m)) => (topo, Some(m)),
+            None => (scenario.topology.build(), None),
+        };
         let epochs: Vec<(u64, &Embedding)> = match &mobility {
             Some(m) => m
                 .embeddings
@@ -309,6 +311,8 @@ impl ScenarioRunner {
             None => vec![(1, &topo.embedding)],
         };
         let faults = scenario.faults.resolve(&epochs)?;
+        // An O(1) clone: the runner, its topology and every trial engine
+        // share one adjacency build.
         let graph = Arc::new(topo.graph.clone());
         Ok(ScenarioRunner {
             scenario,
@@ -319,9 +323,14 @@ impl ScenarioRunner {
         })
     }
 
-    /// Builds the epoch timeline for a mobility scenario (`None` when
-    /// the scenario is static).
-    fn build_mobility(scenario: &Scenario) -> Result<Option<MobilityState>, ScenarioError> {
+    /// Builds the epoch timeline for a mobility scenario, with the
+    /// deployment it starts from (`None` when the scenario is static).
+    /// Epoch 0 is built exactly as `TopologySpec::build` would build the
+    /// deployment, so the deployment shares epoch 0's graph instead of
+    /// being built a second time.
+    fn build_mobility(
+        scenario: &Scenario,
+    ) -> Result<Option<(Topology, MobilityState)>, ScenarioError> {
         let Some(m) = &scenario.mobility else {
             return Ok(None);
         };
@@ -370,11 +379,19 @@ impl ScenarioRunner {
                 .map(|e| (e.start_round, Arc::clone(&e.graph))),
         )
         .map_err(|e| ScenarioError::Invalid(format!("mobility: {e}")))?;
-        Ok(Some(MobilityState {
-            timeline,
-            embeddings: epochs.iter().map(|e| Arc::clone(&e.embedding)).collect(),
-            rebuild_ns: epochs.iter().map(|e| e.build_ns).collect(),
-        }))
+        let deployment = Topology {
+            graph: DualGraph::clone(&epochs[0].graph),
+            embedding: Embedding::clone(&epochs[0].embedding),
+            r: params.r,
+        };
+        Ok(Some((
+            deployment,
+            MobilityState {
+                timeline,
+                embeddings: epochs.iter().map(|e| Arc::clone(&e.embedding)).collect(),
+                rebuild_ns: epochs.iter().map(|e| e.build_ns).collect(),
+            },
+        )))
     }
 
     // Always 1: only `perfbench/src/traced.rs` calls it; nothing in the workspace does.

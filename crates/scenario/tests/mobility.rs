@@ -10,8 +10,12 @@
 //!   on the per-round mask.
 //! * A **moving** jam resolves to genuinely different node sets across
 //!   epochs, and mobility trials replay byte-identically.
+//! * A mobility runner's deployment *is* its timeline's epoch 0: one
+//!   build, shared (not copied) with every configuration.
 
 use proptest::prelude::*;
+use radio_sim::graph::DualGraph;
+use radio_sim::scheduler::NoExtraEdges;
 use scenario::prelude::*;
 use scenario::spec::{TopologySpec, WorkloadSpec};
 
@@ -123,6 +127,34 @@ fn mobility_trials_replay_byte_identical() {
     assert!(!ta.is_empty());
     assert_eq!(ta, b.trial_trace_json(0), "fresh runner replay drifted");
     assert_eq!(a.run_trial(0), b.run_trial(0));
+}
+
+#[test]
+fn one_graph_build_is_shared_by_clones_configurations_and_the_timeline() {
+    // Pointer-equal edge storage, not just equal edges: a deep copy
+    // passes an `==` check too.
+    let shares =
+        |a: &DualGraph, b: &DualGraph| a.extra_edges().as_ptr() == b.extra_edges().as_ptr();
+    let runner = ScenarioRunner::new(registry::find("mobility").unwrap()).unwrap();
+    let topo = runner.topology();
+    assert!(
+        !topo.graph.extra_edges().is_empty(),
+        "every empty list has the same dangling pointer"
+    );
+    assert!(
+        shares(&topo.graph, &topo.graph.clone()),
+        "a clone copied the graph"
+    );
+    let config = topo.configuration(Box::new(NoExtraEdges));
+    assert!(
+        shares(&config.graph, &topo.graph),
+        "configuration copied the graph"
+    );
+    let epoch0 = runner.timeline().unwrap().epoch_graph(0);
+    assert!(
+        shares(&topo.graph, epoch0),
+        "the runner built epoch 0 twice"
+    );
 }
 
 proptest! {
