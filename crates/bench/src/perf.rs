@@ -394,11 +394,7 @@ fn engine_cases(rounds: u64) -> Vec<Case> {
 /// a Bernoulli schedule) run for `rounds` rounds. Density is fixed, so
 /// flat node-rounds/s along `n` means no super-linear cost.
 fn scale_cases(rounds: u64) -> Vec<Case> {
-    let points = sweep::find_sweep("scale-curve")
-        .expect("scale-curve is registered")
-        .expand()
-        .expect("scale-curve expands")
-        .scenarios();
+    let points = scale_curve().scenarios();
     [1_000usize, 10_000, 50_000]
         .into_iter()
         .map(|n| {
@@ -411,6 +407,38 @@ fn scale_cases(rounds: u64) -> Vec<Case> {
             trial_case(&format!("scale-{n}/bernoulli"), NODE_ROUNDS, s, node_rounds)
         })
         .collect()
+}
+
+/// The registered `scale-curve` sweep, expanded.
+fn scale_curve() -> sweep::SweepGrid {
+    sweep::find_sweep("scale-curve")
+        .expect("scale-curve is registered")
+        .expand()
+        .expect("scale-curve expands")
+}
+
+/// Set-up of the `scale-curve` sweep: expanding it and compiling its
+/// campaign, so every `ScenarioRunner::new` of its 12 points over six
+/// deployments of 1k–50k nodes. Each sample is timed after the previous
+/// campaign is dropped, so no build is served from a live runner.
+fn setup_case() -> Case {
+    let compile = || scale_curve().campaign().expect("scale-curve compiles");
+    drop(compile());
+    let samples = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            let campaign = compile();
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            drop(campaign);
+            ms
+        })
+        .collect();
+    Case {
+        name: "scale-curve/setup".into(),
+        unit: "ms".into(),
+        better: Better::Lower,
+        samples,
+    }
 }
 
 /// The transport cases: LBAlg streaming over the mock network (all of
@@ -549,6 +577,7 @@ pub fn run(quick: bool) -> BenchReport {
     };
     let mut cases = engine_cases(rounds);
     cases.extend(scale_cases(scale_rounds));
+    cases.push(setup_case());
     cases.extend(transport_cases(rounds));
     // The registry mobility scenario at its native epoch length and at a
     // 4x finer grid (more rebuilds over the same horizon). A trial is a
@@ -589,12 +618,13 @@ mod tests {
         assert_eq!(BenchReport::from_json(&report.to_json()).unwrap(), report);
         assert!(report.cases.iter().all(|c| c.samples.len() == SAMPLES));
         let names: Vec<&str> = report.cases.iter().map(|c| c.name.as_str()).collect();
-        // The scale curve covers three decades of n, largest 50k; the
-        // mobility pairs split throughput from rebuild cost; the E13
-        // ablations ride along.
+        // The scale curve covers three decades of n, largest 50k, and
+        // its set-up; the mobility pairs split throughput from rebuild
+        // cost; the E13 ablations ride along.
         for name in [
             "scale-1000/bernoulli",
             "scale-50000/bernoulli",
+            "scale-curve/setup",
             "mobility-epoch-30/rebuild",
             "campaign",
             "ablation/seed-reuse-k8",

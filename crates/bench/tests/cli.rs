@@ -198,3 +198,34 @@ fn a_huge_arena_runs_instead_of_overflowing_the_cell_grid() {
     assert_eq!(out.status.code(), Some(0), "{text}");
     assert!(!text.contains("panicked"), "{text}");
 }
+
+#[test]
+fn a_moving_timeline_past_the_edge_cap_is_refused_before_building() {
+    // 4096 moving epochs of about 5.4M G' edges each: every graph fits
+    // the cap, the 2.2e10 edges of the timeline do not. Where the shell
+    // can set it, the address-space limit turns a regression that starts
+    // building into a quick allocation failure, not a host out of memory.
+    let rgg = r#"{"RandomGeometric": {"n": 100000, "side": 100.0, "r": 2.0,
+        "grey_reliable_p": 0.1, "grey_unreliable_p": 0.8, "seed": 1}}"#;
+    let data = clique(r#"{"Decay": {"senders": [0]}}"#)
+        .replace(r#"{"Clique": {"n": 4, "r": 1.0}}"#, rgg)
+        .replace(r#""rounds": 100"#, r#""rounds": 4096"#)
+        .replace(
+            r#""base_seed": 1"#,
+            r#""base_seed": 1, "mobility": {"speed": 0.01, "epoch_rounds": 1}"#,
+        );
+    let path = write_tmp("moving-timeline.json", &data);
+    let export = write_tmp("moving-timeline-export.json", "");
+    let bounded = |args: &[&str]| {
+        Command::new("sh")
+            .args(["-c", r#"ulimit -v 4194304 2>/dev/null; exec "$@""#, "sh"])
+            .arg(env!("CARGO_BIN_EXE_scenario"))
+            .args(args)
+            .output()
+            .expect("sh runs")
+    };
+    let reason = "in the timeline, more than the cap of 10000000";
+    assert_refused(&bounded(&["validate", &path]), 1, reason, "validate");
+    assert_refused(&bounded(&[&path]), 2, reason, "run");
+    assert_refused(&bounded(&[&path, "--export", &export]), 2, reason, "export");
+}

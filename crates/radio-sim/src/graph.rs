@@ -83,6 +83,8 @@ pub enum GraphError {
     /// The same edge appeared in both the reliable set and the extra
     /// (unreliable) set, violating `E' \ E` disjointness.
     DuplicateEdge(Edge),
+    /// An edge joined a vertex to itself, which the model forbids.
+    SelfLoop(NodeId),
 }
 
 impl fmt::Display for GraphError {
@@ -94,6 +96,7 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateEdge(e) => {
                 write!(f, "edge {e:?} listed as both reliable and unreliable")
             }
+            GraphError::SelfLoop(v) => write!(f, "edge joins {v} to itself"),
         }
     }
 }
@@ -183,19 +186,24 @@ impl Csr {
 }
 
 /// Normalizes one edge class into a sorted, deduplicated list, stopping
-/// at the first endpoint `>= n`: that vertex is returned beside the
-/// edges listed before it. Sorting is O(E log E), and linear when the
-/// input is already in `(a, b)` order, as every generator's is.
+/// at the first edge with an endpoint `>= n` or a self-loop: its error
+/// is returned beside the edges listed before it. Sorting is
+/// O(E log E), and linear when the input is already in `(a, b)` order,
+/// as every generator's is.
 fn sorted_class(
     n: usize,
     edges: impl IntoIterator<Item = (usize, usize)>,
-) -> (Vec<Edge>, Option<usize>) {
+) -> (Vec<Edge>, Option<GraphError>) {
     let edges = edges.into_iter();
     let mut out = Vec::with_capacity(edges.size_hint().0);
     let mut bad = None;
     for (u, v) in edges {
-        if let Some(x) = [u, v].into_iter().find(|&x| x >= n) {
-            bad = Some(x);
+        if let Some(vertex) = [u, v].into_iter().find(|&x| x >= n) {
+            bad = Some(GraphError::VertexOutOfRange { vertex, n });
+            break;
+        }
+        if u == v {
+            bad = Some(GraphError::SelfLoop(NodeId(u)));
             break;
         }
         out.push(Edge::new(NodeId(u), NodeId(v)));
@@ -290,30 +298,26 @@ impl DualGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfRange`] for the first endpoint
-    /// `>= n` in input order (reliable list first), and
-    /// [`GraphError::DuplicateEdge`] with the smallest edge listed in
-    /// both. An edge shared before the first bad extra endpoint is
-    /// reported ahead of that endpoint, as an input-order scan would.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a self-loop, as [`Edge::new`] does.
+    /// Returns [`GraphError::VertexOutOfRange`] or
+    /// [`GraphError::SelfLoop`] for the first such edge in input order
+    /// (reliable list first), and [`GraphError::DuplicateEdge`] with the
+    /// smallest edge listed in both. An edge shared before the first bad
+    /// extra edge is reported ahead of it, as an input-order scan would.
     pub fn new(
         n: usize,
         reliable: impl IntoIterator<Item = (usize, usize)>,
         extra: impl IntoIterator<Item = (usize, usize)>,
     ) -> Result<Self, GraphError> {
         let (reliable_edges, bad) = sorted_class(n, reliable);
-        if let Some(vertex) = bad {
-            return Err(GraphError::VertexOutOfRange { vertex, n });
+        if let Some(e) = bad {
+            return Err(e);
         }
         let (extra_edges, bad) = sorted_class(n, extra);
         if let Some(e) = first_shared(&reliable_edges, &extra_edges) {
             return Err(GraphError::DuplicateEdge(e));
         }
-        if let Some(vertex) = bad {
-            return Err(GraphError::VertexOutOfRange { vertex, n });
+        if let Some(e) = bad {
+            return Err(e);
         }
         let reliable_csr = Csr::build(n, &reliable_edges);
         let extra_csr = Csr::build(n, &extra_edges);
@@ -507,6 +511,14 @@ mod tests {
             "reliable_edges":[{"a":0,"b":1}],
             "extra_edges":[{"a":0,"b":1}]}"#;
         assert!(serde_json::from_str::<DualGraph>(bad).is_err());
+        // A self-loop is an error too, not a panic in `Edge::new`.
+        let looped = r#"{"n":3,"reliable_edges":[{"a":1,"b":1}],"extra_edges":[]}"#;
+        let err = serde_json::from_str::<DualGraph>(looped).unwrap_err();
+        assert!(err.to_string().contains("joins v1 to itself"), "{err}");
+        assert_eq!(
+            DualGraph::new(3, [(0, 1)], [(2, 2)]).unwrap_err(),
+            GraphError::SelfLoop(NodeId(2))
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! trial outcomes.
 //!
 //! The [`ScenarioRunner`] owns a validated scenario and its built
-//! topology. Each trial is a pure function of the trial's master seed
+//! topology, which live runners of an equal static topology spec share.
+//! Each trial is a pure function of the trial's master seed
 //! (`base_seed.wrapping_add(trial_index)` — wrapping, so seeds near
 //! `u64::MAX` are legal), so trials fan out across cores through
 //! [`analysis::runner::run_trials`] with results identical to a
@@ -36,8 +37,8 @@ use radio_sim::topology::{self, RggParams, Topology};
 use radio_sim::trace::{EventKind, RecordingPolicy, RoundStats, Trace};
 use seed_agreement::alg::SeedProcess;
 use seed_agreement::{spec as seed_spec, SeedConfig};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Rounds per "phase" for the fixed-schedule baselines, which have no
 /// intrinsic phase structure (`StopSpec::Phases` multiplies this).
@@ -274,10 +275,46 @@ struct MobilityState {
     rebuild_ns: Vec<u64>,
 }
 
+/// The static topologies of live runners, keyed by their specs' `Debug`
+/// text. The memo holds only `Weak` references: runners alive at the
+/// same time with equal specs share one build, and a graph is freed with
+/// its last runner, so a later runner of that spec builds it again.
+static LIVE_TOPOLOGIES: Mutex<BTreeMap<String, Weak<Topology>>> = Mutex::new(BTreeMap::new());
+
+/// The built topology of a validated `spec`, shared with every live
+/// runner of an equal spec. The build runs outside the memo's lock.
+fn shared_topology(spec: &TopologySpec) -> Arc<Topology> {
+    // Validation leaves every float finite, and `Debug` prints each in
+    // its shortest round-trip form, so two specs print alike exactly when
+    // their variants and field bit patterns agree (`-0.0` is not `0.0`).
+    let key = format!("{spec:?}");
+    // Every update leaves the map valid, so a poisoned lock's map is too.
+    let live = || {
+        LIVE_TOPOLOGIES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    };
+    let hit = live().get(&key).and_then(Weak::upgrade);
+    if let Some(topo) = hit {
+        return topo;
+    }
+    let built = Arc::new(spec.build());
+    let mut live = live();
+    live.retain(|_, topo| topo.strong_count() > 0);
+    // A concurrent build of the same spec may have landed first: share it.
+    if let Some(first) = live.get(&key).and_then(Weak::upgrade) {
+        return first;
+    }
+    live.insert(key, Arc::downgrade(&built));
+    built
+}
+
 /// Executes a validated scenario.
 pub struct ScenarioRunner {
     scenario: Scenario,
-    topo: Topology,
+    /// Shared with every live runner of an equal static topology spec
+    /// (see [`shared_topology`]); a mobility runner's own epoch 0.
+    topo: Arc<Topology>,
     /// The built dual graph, shared across all trial engines via `Arc`
     /// (one adjacency build per scenario, not per trial).
     graph: Arc<DualGraph>,
@@ -289,8 +326,9 @@ pub struct ScenarioRunner {
 }
 
 impl ScenarioRunner {
-    /// Validates the scenario, builds its topology, and resolves fault
-    /// regions (per epoch, for mobility scenarios).
+    /// Validates the scenario, builds its topology (or shares the build
+    /// of a live runner with an equal static topology spec), and
+    /// resolves fault regions (per epoch, for mobility scenarios).
     ///
     /// # Errors
     ///
@@ -298,8 +336,8 @@ impl ScenarioRunner {
     pub fn new(scenario: Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
         let (topo, mobility) = match Self::build_mobility(&scenario)? {
-            Some((topo, m)) => (topo, Some(m)),
-            None => (scenario.topology.build(), None),
+            Some((topo, m)) => (Arc::new(topo), Some(m)),
+            None => (shared_topology(&scenario.topology), None),
         };
         let epochs: Vec<(u64, &Embedding)> = match &mobility {
             Some(m) => m
@@ -986,6 +1024,44 @@ mod tests {
         let tables = report.tables();
         assert_eq!(tables.len(), 2);
         assert!(!tables[1].rows.is_empty());
+    }
+
+    #[test]
+    fn the_topology_memo_holds_only_weak_references() {
+        // A spec no other test builds, so no runner elsewhere holds it.
+        let mut s = small_lb("memo").build().unwrap();
+        s.topology = TopologySpec::RandomGeometric {
+            n: 13,
+            side: 2.9,
+            r: 1.7,
+            grey_reliable_p: 0.0,
+            grey_unreliable_p: 0.55,
+            seed: 4242,
+        };
+        let a = ScenarioRunner::new(s.clone()).unwrap();
+        let b = ScenarioRunner::new(s.clone()).unwrap();
+        assert!(
+            Arc::ptr_eq(&a.topo, &b.topo),
+            "live runners built one spec twice"
+        );
+        // Keys compare floats by bit pattern: -0.0 == 0.0, yet not shared.
+        let mut signed = s.clone();
+        if let TopologySpec::RandomGeometric {
+            grey_reliable_p, ..
+        } = &mut signed.topology
+        {
+            *grey_reliable_p = -0.0;
+        }
+        assert_eq!(signed.topology, s.topology);
+        let c = ScenarioRunner::new(signed).unwrap();
+        assert!(!Arc::ptr_eq(&a.topo, &c.topo));
+        let weak = Arc::downgrade(&a.topo);
+        drop((a, b));
+        assert!(
+            weak.upgrade().is_none(),
+            "the memo kept a dropped graph alive"
+        );
+        assert_eq!(Arc::strong_count(&ScenarioRunner::new(s).unwrap().topo), 1);
     }
 
     #[test]

@@ -1206,7 +1206,20 @@ impl MobilitySpec {
         horizon.div_ceil(self.epoch_rounds).max(1)
     }
 
-    fn validate(&self, horizon: Option<u64>) -> Result<(), ScenarioError> {
+    /// The `G'` edges a `horizon`-round timeline keeps when each graph
+    /// implies `edges`: one graph per epoch when nodes move, one shared
+    /// graph when they are parked.
+    fn timeline_edges(&self, horizon: u64, edges: f64) -> f64 {
+        if self.speed > 0.0 {
+            self.epochs_for(horizon) as f64 * edges
+        } else {
+            edges
+        }
+    }
+
+    /// Checks the spec against the trial horizon and the `G'` edges
+    /// one graph of the topology implies.
+    fn validate(&self, horizon: Option<u64>, edges: f64) -> Result<(), ScenarioError> {
         if !(self.speed >= 0.0 && self.speed.is_finite()) {
             return Err(invalid(format!(
                 "mobility: speed must be finite and >= 0, got {}",
@@ -1232,6 +1245,17 @@ impl MobilitySpec {
                  epochs, over the {MAX_MOBILITY_EPOCHS} cap — raise \
                  epoch_rounds or shorten the trial",
                 self.epoch_rounds
+            )));
+        }
+        // The whole timeline is built before the first round, so the cap
+        // on one graph bounds the sum over its epochs.
+        let total = self.timeline_edges(h, edges);
+        if total > MAX_TOPOLOGY_EDGES {
+            return Err(invalid(format!(
+                "mobility: {epochs} moving epochs of about {edges:.3e} G' edges \
+                 each imply {total:.3e} in the timeline, more than the cap of \
+                 {MAX_TOPOLOGY_EDGES:.0} — raise epoch_rounds, shorten the \
+                 trial or shrink the topology"
             )));
         }
         Ok(())
@@ -1441,7 +1465,7 @@ impl Scenario {
             }
         }
         if let Some(m) = &self.mobility {
-            m.validate(self.stop.horizon_rounds())?;
+            m.validate(self.stop.horizon_rounds(), self.topology.implied_edges())?;
             // Mobility re-samples an RGG from the moved embedding each
             // epoch; only the arena families have that construction.
             if !matches!(
@@ -1868,6 +1892,28 @@ mod tests {
             .is_err());
         // Speed 0 with a sane horizon remains legal.
         assert!(mobile().mobility(0.0, 10).build().is_ok());
+        // Each of 4096 epochs fits the edge cap, their sum does not;
+        // parked, the epochs share one graph.
+        let big = |speed| {
+            let mut b = mobile()
+                .stop(StopSpec::Rounds { rounds: 4096 })
+                .mobility(speed, 1);
+            b.scenario.topology = TopologySpec::RandomGeometric {
+                n: 100_000,
+                side: 100.0,
+                r: 2.0,
+                grey_reliable_p: 0.1,
+                grey_unreliable_p: 0.8,
+                seed: 5,
+            };
+            b.build()
+        };
+        let err = big(0.01).unwrap_err().to_string();
+        assert!(
+            err.contains("mobility:") && err.contains("timeline"),
+            "{err}"
+        );
+        assert!(big(0.0).is_ok());
     }
 
     #[test]
@@ -1986,7 +2032,16 @@ mod tests {
             s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
             // Headroom: the caps sit well above anything shipped.
             assert!(s.topology.node_count() * 10 <= MAX_TOPOLOGY_NODES, "{}", s.name);
-            assert!(s.topology.implied_edges() * 10.0 <= MAX_TOPOLOGY_EDGES, "{}", s.name);
+            let edges = s.topology.implied_edges();
+            assert!(edges * 10.0 <= MAX_TOPOLOGY_EDGES, "{}", s.name);
+            if let Some(m) = &s.mobility {
+                let horizon = s.stop.horizon_rounds().unwrap();
+                assert!(
+                    m.timeline_edges(horizon, edges) * 10.0 <= MAX_TOPOLOGY_EDGES,
+                    "{}",
+                    s.name
+                );
+            }
         }
     }
 

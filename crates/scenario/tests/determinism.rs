@@ -1,7 +1,8 @@
 //! Replay determinism: identical scenario seeds produce byte-identical
 //! traces, fault injection included.
 
-use scenario::{registry, Scenario, ScenarioRunner};
+use radio_sim::topology::Topology;
+use scenario::{registry, search, sweep, Scenario, ScenarioRunner};
 use std::path::PathBuf;
 
 fn load_file(name: &str) -> Scenario {
@@ -122,4 +123,41 @@ fn stats_only_trials_match_full_recording_metrics() {
             assert_eq!(full.spec_ok, lean.spec_ok, "{name}");
         }
     }
+}
+
+#[test]
+fn memo_built_topologies_equal_fresh_builds() {
+    let mut scenarios = registry::all();
+    for family in sweep::sweeps() {
+        scenarios.extend(family.expand().unwrap().scenarios());
+    }
+    scenarios.extend(search::presets().into_iter().map(|p| p.base));
+    // Alive together, as in a campaign, so runners of equal specs share.
+    let runners: Vec<ScenarioRunner> = scenarios
+        .into_iter()
+        .map(|s| ScenarioRunner::new(s).unwrap())
+        .collect();
+    let bits = |t: &Topology| -> Vec<u64> {
+        let xy = t
+            .embedding
+            .iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()]);
+        xy.chain([t.r.to_bits()]).collect()
+    };
+    let mut checked: Vec<&Topology> = Vec::new();
+    for runner in &runners {
+        let topo = runner.topology();
+        if checked.iter().any(|t| std::ptr::eq(*t, topo)) {
+            continue;
+        }
+        let fresh = runner.scenario().topology.build();
+        let name = &runner.scenario().name;
+        assert_eq!(topo.graph, fresh.graph, "{name}: graph");
+        assert_eq!(bits(topo), bits(&fresh), "{name}: embedding or r");
+        checked.push(topo);
+    }
+    assert!(
+        checked.len() < runners.len(),
+        "no two runners shared a build"
+    );
 }

@@ -222,3 +222,32 @@ fn every_pinned_sweep_point_has_a_blessed_golden_file() {
         }
     }
 }
+
+#[test]
+fn points_that_change_no_topology_field_share_one_graph() {
+    // Pointer-equal edge storage, not just equal edges: a second build
+    // passes an `==` check too.
+    let points = sweep::find_sweep("scale-curve")
+        .unwrap()
+        .expand()
+        .unwrap()
+        .scenarios();
+    let runner = |name: &str| {
+        let s = points.iter().find(|s| s.name == name).unwrap();
+        ScenarioRunner::new(s.clone()).unwrap()
+    };
+    let storage = |r: &ScenarioRunner| r.topology().graph.extra_edges().as_ptr();
+    let half = runner("scale@n=1000,adv=0.5");
+    let most = runner("scale@n=1000,adv=0.9");
+    let bigger = runner("scale@n=2000,adv=0.5");
+    assert!(
+        !half.topology().graph.extra_edges().is_empty(),
+        "every empty list has the same dangling pointer"
+    );
+    assert_eq!(
+        storage(&half),
+        storage(&most),
+        "one n, two adversaries: two builds"
+    );
+    assert_ne!(storage(&half), storage(&bigger), "two n shared one graph");
+}
