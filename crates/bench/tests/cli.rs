@@ -229,3 +229,39 @@ fn a_moving_timeline_past_the_edge_cap_is_refused_before_building() {
     assert_refused(&bounded(&[&path]), 2, reason, "run");
     assert_refused(&bounded(&[&path, "--export", &export]), 2, reason, "export");
 }
+
+#[test]
+fn many_partition_windows_cost_memory_per_listed_node() {
+    // 20 000 one-node windows over a 100 000-node deployment: the mock
+    // network indexes the windows by the vertices they list, O(n + Σ
+    // |nodes|), instead of one n-entry mask per window (2 GB here).
+    // Where the shell can set it, the address-space limit turns a
+    // regression to per-window masks into an allocation failure.
+    let windows: Vec<String> = (0..20_000)
+        .map(|w| format!(r#"{{"nodes": [{}], "from": 1, "to": 50}}"#, w * 5))
+        .collect();
+    let transport = format!(
+        r#""base_seed": 1, "transport": {{"MockNet": {{"delay_rounds": 1, "loss_p": 0.1,
+            "partitions": [{}]}}}}"#,
+        windows.join(", ")
+    );
+    let topology = r#"{"ConstantDensity": {"n": 100000, "density": 1.0, "r": 1.0, "seed": 3}}"#;
+    let data = clique(r#"{"Decay": {"senders": [0, 5, 6, 99999]}}"#)
+        .replace(r#"{"Clique": {"n": 4, "r": 1.0}}"#, topology)
+        .replace(r#""rounds": 100"#, r#""rounds": 50"#)
+        .replace(r#""base_seed": 1"#, &transport);
+    let path = write_tmp("many-partition-windows.json", &data);
+    let out = Command::new("sh")
+        .args(["-c", r#"ulimit -v 1500000 2>/dev/null; exec "$@""#, "sh"])
+        .arg(env!("CARGO_BIN_EXE_scenario"))
+        .arg(&path)
+        .output()
+        .expect("sh runs");
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+}

@@ -83,7 +83,9 @@ pub struct LbProcess {
     state: NodeState,
     /// A `bcast` input waiting for the next phase boundary.
     pending: Option<Payload>,
-    /// The embedded seed agreement instance for the current preamble.
+    /// The embedded seed agreement instance for the current preamble,
+    /// created at the node's first phase boundary and reset at every
+    /// later one.
     preamble: Option<SeedProcess>,
     /// The committed seed for this phase's body, with its consumption
     /// cursor position and the round it was adopted at (used to detect
@@ -227,8 +229,13 @@ impl Process for LbProcess {
                 };
             }
             if agreement {
+                // One instance for the node's life, reset in place so
+                // its buffers outlive the phase.
                 let seed_cfg = self.params.as_ref().expect("initialized").seed_cfg.clone();
-                self.preamble = Some(SeedProcess::new(seed_cfg));
+                match self.preamble.as_mut() {
+                    Some(inner) => inner.reset(seed_cfg),
+                    None => self.preamble = Some(SeedProcess::new(seed_cfg)),
+                }
             }
             self.phase_seed = None;
         }
@@ -335,11 +342,11 @@ impl Process for LbProcess {
             };
             if let Some(inner) = self.preamble.as_mut() {
                 // Settled instances ignore receptions and have already
-                // decided; driving them further is a no-op.
+                // decided; driving them further is a no-op. Internal
+                // decide outputs are not service outputs: they stay in
+                // the instance until the next phase's reset clears them.
                 if !inner.is_settled() {
                     inner.on_receive(inner_msg, ctx);
-                    // Internal decide outputs are not service outputs.
-                    let _ = inner.take_outputs();
                 }
             }
         } else if let Some(LbMsg::Data(p)) = msg {

@@ -1,11 +1,13 @@
-//! The [`Transport`] trait, the adapter that runs a transport as the
-//! engine's channel, and the deterministic mock network.
+//! The deterministic mock network, a [`Channel`] of its own, and the
+//! older message-level [`Transport`] contract with its adapter.
 //!
 //! A transport answers exactly one question per synchronous round: given
 //! every node's transmit/listen decision, what does every node *hear*?
 //! The answer is a [`Reception`] per vertex; the engine owns everything
 //! else — process callbacks, fault masks, traces, statistics — and
-//! reaches a transport through [`TransportChannel`].
+//! reaches a transport through [`TransportChannel`]. The mock network
+//! answers the engine's index-level question directly as well
+//! ([`MockNetTransport`]'s `Channel` impl), which is how trials run it.
 
 use radio_sim::channel::{Channel, Heard, Transmissions};
 use radio_sim::graph::{DualGraph, NodeId};
@@ -204,21 +206,46 @@ impl Default for MockNetConfig {
 /// queue until its arrival round. At arrival, radio semantics apply: a
 /// receiver that is itself transmitting discards the arrivals (it cannot
 /// listen), one surviving arrival is a delivery, and two or more
-/// interfere ([`Reception::Collision`]).
+/// interfere.
+///
+/// The network is the engine's [`Channel`] directly, and its share of a
+/// round costs O(traffic): `resolve` fans out only the round's
+/// transmitters, pops only the round's arrivals into per-receiver
+/// state, and clears only the receivers the previous round touched.
+/// The [`Transport`] impl runs the same fan-out and arrival pop and
+/// reports one [`Reception`] per vertex, so both paths give
+/// byte-identical executions.
 pub struct MockNetTransport<M> {
     graph: Arc<DualGraph>,
     config: MockNetConfig,
     master_seed: u64,
-    /// `partition_masks[w][v]` — is `v` on the `nodes` side of window `w`?
-    partition_masks: Vec<Vec<bool>>,
+    /// The partition windows listing each vertex, CSR-style: `v`'s
+    /// windows are `window_ids[window_start[v]..window_start[v + 1]]`,
+    /// ascending and duplicate-free. Memory is O(n + Σ |nodes|); both
+    /// are empty when there are no windows.
+    window_start: Vec<usize>,
+    window_ids: Vec<usize>,
     /// Copies in flight, in send order: `(arrival round, receiver,
     /// sender, msg)`. The per-hop delay is constant, so arrival rounds
     /// never decrease along the queue and each round's arrivals are its
     /// front. The storage is reused across rounds.
     in_flight: VecDeque<(u64, usize, NodeId, M)>,
+    /// This round's arrivals at each receiver.
+    arrivals: Vec<Arrivals<M>>,
+    /// The receivers with at least one arrival this round, the only
+    /// slots the next round has to clear.
+    touched: Vec<usize>,
 }
 
-impl<M: Clone + Send> MockNetTransport<M> {
+/// One receiver's arrivals in the current round: how many copies
+/// arrived, and the first one (the delivery when it is the only one).
+struct Arrivals<M> {
+    count: u32,
+    from: NodeId,
+    copy: Option<M>,
+}
+
+impl<M: Clone> MockNetTransport<M> {
     /// A mock network over the given graph's links, seeded like every
     /// other component (the seed selects the loss-coin streams).
     ///
@@ -234,25 +261,28 @@ impl<M: Clone + Send> MockNetTransport<M> {
             "loss_p must be in [0, 1], got {}",
             config.loss_p
         );
-        let partition_masks = config
-            .partitions
-            .iter()
-            .map(|w| {
-                assert!(w.from >= 1 && w.to >= w.from, "malformed partition window");
-                let mut mask = vec![false; n];
-                for &v in &w.nodes {
-                    assert!(v < n, "partition references vertex {v} out of range");
-                    mask[v] = true;
-                }
-                mask
-            })
-            .collect();
+        for w in &config.partitions {
+            assert!(w.from >= 1 && w.to >= w.from, "malformed partition window");
+            if let Some(v) = w.nodes.iter().find(|&&v| v >= n) {
+                panic!("partition references vertex {v} out of range");
+            }
+        }
+        let (window_start, window_ids) = windows_by_vertex(n, &config.partitions);
         MockNetTransport {
             graph,
             config,
             master_seed,
-            partition_masks,
+            window_start,
+            window_ids,
             in_flight: VecDeque::new(),
+            arrivals: (0..n)
+                .map(|_| Arrivals {
+                    count: 0,
+                    from: NodeId(0),
+                    copy: None,
+                })
+                .collect(),
+            touched: Vec::new(),
         }
     }
 
@@ -260,44 +290,48 @@ impl<M: Clone + Send> MockNetTransport<M> {
     pub fn config(&self) -> &MockNetConfig {
         &self.config
     }
-}
 
-impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
-    fn resolve_round(
-        &mut self,
-        round: u64,
-        actions: &[Action<M>],
-        receptions: &mut Vec<Reception<M>>,
-    ) {
-        let n = self.graph.len();
-        assert_eq!(actions.len(), n, "one action per vertex required");
+    /// The partition windows listing `v`, ascending.
+    fn windows_of(&self, v: usize) -> &[usize] {
+        if self.window_start.is_empty() {
+            return &[];
+        }
+        &self.window_ids[self.window_start[v]..self.window_start[v + 1]]
+    }
 
-        // Send phase: fan each transmission out over the sender's
-        // links, drop partition-crossing and lossy copies at send time,
-        // enqueue the rest for arrival at `round + delay`. Loss coins
-        // are flipped in (sender ascending, neighbor ascending) order
-        // from this round's Transport stream, and only when the model
-        // is actually lossy.
-        let arrival = round.saturating_add(self.config.delay_rounds);
-        let partitions = &self.config.partitions;
-        let masks = &self.partition_masks;
-        let partitioned = partitions.iter().any(|w| w.from <= round && round <= w.to);
-        let cut = |v: usize, u: usize| {
-            partitions
-                .iter()
-                .zip(masks)
-                .any(|(w, mask)| w.from <= round && round <= w.to && mask[v] != mask[u])
+    /// Whether the link `v`–`u` is cut in `round`: some active window
+    /// lists exactly one of its endpoints.
+    fn cut(&self, round: u64, v: usize, u: usize) -> bool {
+        let (a, b) = (self.windows_of(v), self.windows_of(u));
+        let active = |w: &usize| {
+            let w = &self.config.partitions[*w];
+            w.from <= round && round <= w.to
         };
+        a.iter().any(|w| active(w) && b.binary_search(w).is_err())
+            || b.iter().any(|w| active(w) && a.binary_search(w).is_err())
+    }
+
+    /// Send phase: fans each transmission out over the sender's links,
+    /// drops partition-crossing and lossy copies at send time, and
+    /// enqueues the rest for arrival at `round + delay`. `senders` must
+    /// ascend; loss coins are flipped in (sender, neighbor) ascending
+    /// order from this round's Transport stream, and only when the
+    /// model is actually lossy.
+    fn fan_out<'m>(&mut self, round: u64, senders: impl Iterator<Item = (usize, &'m M)>)
+    where
+        M: 'm,
+    {
+        let arrival = round.saturating_add(self.config.delay_rounds);
+        let partitioned = !self.window_start.is_empty();
         let loss_p = self.config.loss_p;
         let mut loss_rng = None;
-        for (v, action) in actions.iter().enumerate() {
-            let Action::Transmit(m) = action else { continue };
+        for (v, m) in senders {
             let neighbors = match self.config.links {
                 LinkSet::Reliable => self.graph.reliable_neighbors(NodeId(v)),
                 LinkSet::All => self.graph.all_neighbors(NodeId(v)),
             };
             for &u in neighbors {
-                if partitioned && cut(v, u.0) {
+                if partitioned && self.cut(round, v, u.0) {
                     continue;
                 }
                 if loss_p > 0.0 {
@@ -312,18 +346,112 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
                     .push_back((arrival, u.0, NodeId(v), m.clone()));
             }
         }
+    }
 
-        // Arrival phase: pop this round's arrivals off the front of the
-        // queue and classify. Entries for vertices transmitting this
-        // round are discarded by the engine — a radio cannot listen
-        // while transmitting, and a delayed message is not buffered past
-        // its arrival round.
-        receptions.clear();
-        receptions.extend((0..n).map(|_| Reception::Silence));
+    /// Arrival phase: clears last round's receivers, then pops this
+    /// round's arrivals off the front of the queue into per-receiver
+    /// state, keeping each receiver's first copy. Arrivals at a vertex
+    /// transmitting this round are never read — a radio cannot listen
+    /// while transmitting — and are not buffered past their round.
+    fn pop_arrivals(&mut self, round: u64) {
+        for &u in &self.touched {
+            let slot = &mut self.arrivals[u];
+            slot.count = 0;
+            slot.copy = None;
+        }
+        self.touched.clear();
         while self.in_flight.front().is_some_and(|c| c.0 == round) {
             let (_, u, from, msg) = self.in_flight.pop_front().expect("front checked");
-            receptions[u] = match receptions[u] {
-                Reception::Silence => Reception::Message { from, msg },
+            let slot = &mut self.arrivals[u];
+            if slot.count == 0 {
+                self.touched.push(u);
+                slot.from = from;
+                slot.copy = Some(msg);
+            }
+            slot.count += 1;
+        }
+    }
+}
+
+/// The CSR of the windows listing each vertex (see
+/// [`MockNetTransport`]'s `window_start`); empty without windows.
+fn windows_by_vertex(n: usize, partitions: &[PartitionWindow]) -> (Vec<usize>, Vec<usize>) {
+    if partitions.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let mut pairs: Vec<(usize, usize)> = partitions
+        .iter()
+        .enumerate()
+        .flat_map(|(w, window)| window.nodes.iter().map(move |&v| (v, w)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut start = vec![0; n + 1];
+    for &(v, _) in &pairs {
+        start[v + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    (start, pairs.into_iter().map(|(_, w)| w).collect())
+}
+
+impl<M: Clone> Channel<M> for MockNetTransport<M> {
+    fn resolve(&mut self, tx: &Transmissions<'_, M>) {
+        let sent = |v: usize| tx.messages[v].as_ref().expect("transmitters carry a message");
+        self.fan_out(tx.round, tx.tx_list.iter().map(|&v| (v, sent(v))));
+        self.pop_arrivals(tx.round);
+    }
+
+    #[inline]
+    fn heard(&self, u: usize) -> Heard {
+        let slot = &self.arrivals[u];
+        match slot.count {
+            0 => Heard::Silence,
+            1 => Heard::From(slot.from),
+            _ => Heard::Collision,
+        }
+    }
+
+    #[inline]
+    fn deliver(&mut self, u: usize, _from: NodeId, _messages: &[Option<M>]) -> M {
+        self.arrivals[u]
+            .copy
+            .take()
+            .expect("the engine delivers only receptions reported as From")
+    }
+
+    fn name(&self) -> &'static str {
+        "mock-net"
+    }
+}
+
+impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
+    fn resolve_round(
+        &mut self,
+        round: u64,
+        actions: &[Action<M>],
+        receptions: &mut Vec<Reception<M>>,
+    ) {
+        let n = self.graph.len();
+        assert_eq!(actions.len(), n, "one action per vertex required");
+        self.fan_out(
+            round,
+            actions.iter().enumerate().filter_map(|(v, a)| match a {
+                Action::Transmit(m) => Some((v, m)),
+                Action::Receive => None,
+            }),
+        );
+        self.pop_arrivals(round);
+        receptions.clear();
+        receptions.extend((0..n).map(|_| Reception::Silence));
+        for &u in &self.touched {
+            let slot = &mut self.arrivals[u];
+            receptions[u] = match slot.count {
+                1 => Reception::Message {
+                    from: slot.from,
+                    msg: slot.copy.take().expect("a sole arrival keeps its copy"),
+                },
                 _ => Reception::Collision,
             };
         }
@@ -478,6 +606,49 @@ mod tests {
             } else {
                 assert!(heard, "round {round}");
                 assert_eq!(out[1], Reception::Collision, "both sides reach 1");
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_windows_cut_exactly_the_masked_links() {
+        // The reference relation: one n-entry mask per window, and a
+        // link is cut while an active window's mask differs at its
+        // endpoints. Windows overlap, repeat vertices and share rounds.
+        let n = 12;
+        let window = |nodes: &[usize], from, to| PartitionWindow {
+            nodes: nodes.to_vec(),
+            from,
+            to,
+        };
+        let partitions = vec![
+            window(&[0, 1, 2], 1, 4),
+            window(&[2, 3, 3, 9], 3, 8),
+            window(&[5], 6, 6),
+            window(&[0, 11, 5, 7, 0], 2, 10),
+            window(&[1, 2], 9, 12),
+        ];
+        let masks: Vec<Vec<bool>> = partitions
+            .iter()
+            .map(|w| (0..n).map(|v| w.nodes.contains(&v)).collect())
+            .collect();
+        let mock: MockNetTransport<u32> = MockNetTransport::new(
+            DualGraph::reliable_only(n, [(0, 1)]).unwrap(),
+            MockNetConfig {
+                partitions: partitions.clone(),
+                ..MockNetConfig::default()
+            },
+            1,
+        );
+        for round in 1..=13 {
+            for v in 0..n {
+                for u in 0..n {
+                    let reference = partitions
+                        .iter()
+                        .zip(&masks)
+                        .any(|(w, m)| w.from <= round && round <= w.to && m[v] != m[u]);
+                    assert_eq!(mock.cut(round, v, u), reference, "round {round}, {v}-{u}");
+                }
             }
         }
     }

@@ -1,10 +1,13 @@
 //! Fault-injection tests for the mock network: delay, Bernoulli loss,
 //! partition windows — and determinism of all three under a fixed seed.
+//! The network runs as the engine's channel, as in scenario trials.
 
-use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::{Action, Context, Process};
+use radio_sim::scheduler::NoExtraEdges;
 use radio_sim::trace::{RecordingPolicy, Trace};
 
 /// Transmits its fixed message on configured rounds, outputs every
@@ -63,17 +66,22 @@ fn run_beacons(
     seed: u64,
 ) -> Trace<(), u32, u32> {
     let procs = specs.into_iter().map(|(m, r)| Beacon::new(m, r)).collect();
-    let transport = MockNetTransport::new(graph.clone(), config, seed);
-    let cluster_config = ClusterConfig::new(graph).with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(
-        cluster_config,
-        transport,
+    let channel = MockNetTransport::new(graph.clone(), config, seed);
+    let mut engine = Engine::with_channel(
+        engine_config(graph),
+        channel,
         procs,
         Box::new(NullEnvironment),
         seed,
     );
-    cluster.run(rounds);
-    cluster.into_trace()
+    engine.run(rounds);
+    engine.into_trace()
+}
+
+/// Full recording over `graph`; the scheduler configures only the
+/// simulator's channel and goes unused.
+fn engine_config(graph: DualGraph) -> Configuration {
+    Configuration::new(graph, Box::new(NoExtraEdges)).with_recording(RecordingPolicy::full())
 }
 
 #[test]
@@ -228,7 +236,7 @@ fn faults_compose_with_the_mock_network() {
     // thinning mechanisms apply, from independent streams.
     use radio_sim::fault::FaultPlan;
     let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-    let transport = MockNetTransport::new(
+    let channel = MockNetTransport::new(
         g.clone(),
         MockNetConfig {
             loss_p: 0.3,
@@ -236,13 +244,11 @@ fn faults_compose_with_the_mock_network() {
         },
         21,
     );
-    let config = ClusterConfig::new(g)
-        .with_recording(RecordingPolicy::full())
-        .with_faults(FaultPlan::none().with_drop_burst(10, 20, 1.0));
+    let config = engine_config(g).with_faults(FaultPlan::none().with_drop_burst(10, 20, 1.0));
     let procs = vec![Beacon::new(7, (1..=30).collect()), Beacon::new(0, vec![])];
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), 21);
-    cluster.run(30);
-    let trace = cluster.into_trace();
+    let mut engine = Engine::with_channel(config, channel, procs, Box::new(NullEnvironment), 21);
+    engine.run(30);
+    let trace = engine.into_trace();
     let totals = trace.total_stats();
     // Inside the burst every mock-net survivor is dropped at the
     // receiver; outside it only mock-net loss applies.

@@ -1,18 +1,24 @@
 //! The hot-path allocation contract: in the stats-only steady state,
 //! `Engine::step` performs **zero** heap allocations per round, over the
-//! simulator's channel and over the mock network's alike.
+//! simulator's channel and over the mock network's alike — the mock
+//! network as the engine's channel directly and through the `Cluster`
+//! adapter — and LBAlg's body rounds over the mock network allocate
+//! nothing either.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warmup (which sizes the engine's and the channel's reusable buffers)
 //! and an explicit stats-capacity reservation, a long run of rounds must
 //! not allocate at all. See docs/perf.md for the methodology.
 
+use local_broadcast::config::LbConfig;
+use local_broadcast::service::QueueWorkload;
+use local_broadcast::{LbProcess, Payload};
 use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport};
 use radio_sim::channel::Channel;
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::AllExtraEdges;
+use radio_sim::scheduler::{AllExtraEdges, NoExtraEdges};
 use radio_sim::topology::{self, random_geometric, RggParams, Topology};
 use radio_sim::trace::RecordingPolicy;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -252,6 +258,109 @@ fn mock_net_steady_state_allocates_nothing() {
         assert!(
             totals.transmitters > 0 && totals.deliveries > 0,
             "delay {delay_rounds}"
+        );
+    }
+}
+
+#[test]
+fn direct_mock_net_steady_state_allocates_nothing() {
+    // The runner's path: the mock network is the engine's channel, with
+    // no adapter in between. Its per-receiver arrival slots are sized at
+    // construction and the in-flight queue by the warmup, so rounds
+    // allocate nothing at any delay.
+    let topo = rgg64();
+    for delay_rounds in [0, 1, 4] {
+        let channel = MockNetTransport::new(
+            topo.graph.clone(),
+            MockNetConfig {
+                delay_rounds,
+                ..MockNetConfig::default()
+            },
+            42,
+        );
+        let config = Configuration::new(topo.graph.clone(), Box::new(NoExtraEdges))
+            .with_recording(RecordingPolicy::stats_only());
+        let procs = (0..topo.graph.len()).map(|_| Rotor).collect();
+        let mut engine =
+            Engine::with_channel(config, channel, procs, Box::new(NullEnvironment), 42);
+
+        let allocations = steady_state_allocations(&mut engine, 64);
+        assert_eq!(
+            allocations, 0,
+            "delay {delay_rounds}: the direct mock-net round allocated {allocations} time(s) \
+             over {MEASURED_ROUNDS} rounds"
+        );
+        let totals = engine.trace().total_stats();
+        assert!(
+            totals.transmitters > 0 && totals.deliveries > 0,
+            "delay {delay_rounds}"
+        );
+    }
+}
+
+#[test]
+fn lb_body_rounds_over_the_mock_net_allocate_nothing() {
+    // LBAlg over the direct mock-net channel, one sender streaming one
+    // payload for several phases. Phases 1 and 2 warm every buffer (the
+    // reset-in-place preamble instance, the in-flight queue, the dedup
+    // set); phase 3's body then runs with nothing new to output: every
+    // neighbor already holds the payload, no ack is due, no bcast
+    // arrives. The body rounds after the seed-adoption round (which
+    // appends to the commit history) must not allocate: the sender's
+    // payload and every fanned-out copy are reference-count bumps.
+    let topo = topology::clique(8, 1.0);
+    let cfg = LbConfig::fast(0.25);
+    let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
+    assert!(params.t_ack > 3, "the sender is still sending in phase 3");
+    let n = topo.graph.len();
+    for delay_rounds in [0, 1, 4] {
+        let channel = MockNetTransport::new(
+            topo.graph.clone(),
+            MockNetConfig {
+                delay_rounds,
+                ..MockNetConfig::default()
+            },
+            7,
+        );
+        let config = Configuration::new(topo.graph.clone(), Box::new(NoExtraEdges))
+            .with_r(topo.r)
+            .with_recording(RecordingPolicy::stats_only());
+        let mut queues = vec![std::collections::VecDeque::new(); n];
+        queues[0].push_back(Payload::new(0, 0));
+        let procs = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
+        let mut engine = Engine::with_channel(
+            config,
+            channel,
+            procs,
+            Box::new(QueueWorkload::new(queues, 1)),
+            7,
+        );
+
+        let phase = params.phase_len();
+        engine.run(2 * phase + params.t_s + 1);
+        let outputs_before = engine.trace().outputs().count();
+        let body = phase - params.t_s - 2;
+        engine.reserve_rounds(body);
+        let (allocations, bytes) = counted(|| engine.run(body));
+        assert_eq!(
+            engine.trace().outputs().count(),
+            outputs_before,
+            "delay {delay_rounds}: the measured rounds are output-free"
+        );
+        assert!(
+            engine.processes()[0].is_sending(),
+            "delay {delay_rounds}: the sender still streams"
+        );
+        assert_eq!(
+            (allocations, bytes),
+            (0, 0),
+            "delay {delay_rounds}: {body} LBAlg body rounds allocated"
+        );
+        let stats = &engine.trace().round_stats;
+        let window = &stats[stats.len() - body as usize..];
+        assert!(
+            window.iter().map(|s| s.transmitters).sum::<usize>() > 0,
+            "delay {delay_rounds}: the measured rounds carry traffic"
         );
     }
 }

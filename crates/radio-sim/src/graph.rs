@@ -289,6 +289,13 @@ impl<'de> Deserialize<'de> for DualGraph {
 }
 
 impl DualGraph {
+    /// Whether `self` and `other` are clones of one graph value, sharing
+    /// its storage (an O(1) identity check; equal graphs built apart
+    /// do not share).
+    pub(crate) fn shares_storage(&self, other: &DualGraph) -> bool {
+        Arc::ptr_eq(&self.storage, &other.storage)
+    }
+
     /// Builds a dual graph from `n` vertices, reliable edges `E`, and extra
     /// unreliable edges `E' \ E`.
     ///

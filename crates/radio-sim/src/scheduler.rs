@@ -415,6 +415,12 @@ impl LinkScheduler for RoundRobinEdges {
 /// Epoch-random edges: a fresh random subset is drawn once per
 /// `epoch`-round block and held constant within the block — slowly
 /// flapping links, as opposed to [`BernoulliEdges`]' per-round churn.
+///
+/// Block `k`'s subset is a function of `(seed, k, graph)` alone: one
+/// coin per extra edge, in edge order, from the block's own stream. The
+/// scheduler keeps the block it drew last and replays it while rounds
+/// stay in that block over the same graph, so the coins are flipped
+/// once per block rather than once per round.
 #[derive(Debug, Clone)]
 pub struct EpochRandomEdges {
     /// Rounds per epoch.
@@ -423,6 +429,10 @@ pub struct EpochRandomEdges {
     pub p: f64,
     /// Seed fixing the whole schedule up front.
     pub seed: u64,
+    /// The last drawn block: its index, the graph it was drawn over
+    /// (held, so that graph's storage cannot be freed and reused by
+    /// another), and its subset.
+    current: Option<(u64, DualGraph, Vec<Edge>)>,
 }
 
 impl EpochRandomEdges {
@@ -434,20 +444,31 @@ impl EpochRandomEdges {
     pub fn new(epoch: u64, p: f64, seed: u64) -> Self {
         assert!(epoch >= 1, "epoch must be at least one round");
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        EpochRandomEdges { epoch, p, seed }
+        EpochRandomEdges {
+            epoch,
+            p,
+            seed,
+            current: None,
+        }
     }
 }
 
 impl LinkScheduler for EpochRandomEdges {
     fn extra_edges(&mut self, round: u64, graph: &DualGraph) -> EdgeSelection {
         let epoch_index = (round - 1) / self.epoch;
+        if let Some((index, drawn_over, subset)) = &self.current {
+            if *index == epoch_index && drawn_over.shares_storage(graph) {
+                return EdgeSelection::Subset(subset.clone());
+            }
+        }
         let mut rng = derive_stream(self.seed, StreamKind::Scheduler, epoch_index);
-        let subset = graph
+        let subset: Vec<Edge> = graph
             .extra_edges()
             .iter()
             .filter(|_| rng.gen_bool(self.p))
             .copied()
             .collect();
+        self.current = Some((epoch_index, graph.clone(), subset.clone()));
         EdgeSelection::Subset(subset)
     }
     fn name(&self) -> &'static str {

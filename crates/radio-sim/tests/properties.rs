@@ -298,3 +298,43 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Section 2 fixes the link scheduler as a sequence `G₁, G₂, …` at the
+    /// start of the execution. So for every oblivious scheduler in the
+    /// family, round `t`'s selection over a graph equals a fresh
+    /// scheduler's, whatever rounds were queried before and in whatever
+    /// order — including across swaps between two graphs and between
+    /// equal graphs built apart (a cache keyed by storage identity must
+    /// not confuse them).
+    #[test]
+    fn oblivious_selections_ignore_the_query_history(
+        seed in 0u64..1000,
+        topo_seed in 0u64..1000,
+        queries in collection::vec((1u64..96, 0usize..3), 1..48),
+    ) {
+        let rgg = |seed| topology::random_geometric(RggParams {
+            n: 24,
+            side: 3.0,
+            r: 2.0,
+            grey_reliable_p: 0.2,
+            grey_unreliable_p: 0.7,
+            seed,
+        }).graph;
+        let graphs = [rgg(topo_seed), rgg(topo_seed + 1), rgg(topo_seed)];
+        let mut used = radio_sim::scheduler::oblivious_family(seed);
+        for (round, which) in queries {
+            let graph = &graphs[which];
+            let fresh = radio_sim::scheduler::oblivious_family(seed);
+            for (s, mut f) in used.iter_mut().zip(fresh) {
+                prop_assert_eq!(
+                    s.extra_edges(round, graph),
+                    f.extra_edges(round, graph),
+                    "{} at round {}", s.name(), round
+                );
+            }
+        }
+    }
+}

@@ -23,7 +23,7 @@ use local_broadcast::config::LbConfig;
 use local_broadcast::msg::{LbInput, LbOutput, Payload};
 use local_broadcast::service::QueueWorkload;
 use local_broadcast::spec as lb_spec;
-use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow, TransportChannel};
+use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
 use radio_sim::channel::Channel;
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::{Environment, NullEnvironment, ScriptedEnvironment};
@@ -623,13 +623,7 @@ impl ScenarioRunner {
                 let transport =
                     MockNetTransport::new(Arc::clone(&self.graph), net_config, master_seed);
                 self.drive(
-                    Engine::with_channel(
-                        config,
-                        TransportChannel::new(transport),
-                        procs,
-                        env,
-                        master_seed,
-                    ),
+                    Engine::with_channel(config, transport, procs, env, master_seed),
                     horizon,
                     is_delivery,
                 )

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use scenario::prelude::*;
-use scenario::spec::{TopologySpec, WorkloadSpec};
+use scenario::spec::{TopologySpec, TransportSpec, WorkloadSpec};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -116,6 +116,38 @@ fn every_registry_entry_has_a_blessed_golden_file() {
             path.display()
         );
     }
+}
+
+#[test]
+fn the_lossy_mock_net_scenario_matches_its_golden() {
+    // scenarios/transport/ holds mock-net scenarios outside the
+    // registry. This one pins the delayed, lossy channel (hop delay,
+    // loss, a partition window and a crash) against the metrics blessed
+    // before the mock net became the engine's channel.
+    let dir = golden_dir().join("../transport");
+    let data = std::fs::read_to_string(dir.join("mock_net_lossy.json")).expect("checked in");
+    let s = Scenario::from_json(&data).expect("loads and validates");
+    assert_eq!(
+        s.to_json(),
+        data,
+        "mock_net_lossy.json is not --export output"
+    );
+    let TransportSpec::MockNet {
+        delay_rounds,
+        loss_p,
+        partitions,
+    } = &s.transport
+    else {
+        panic!("runs over the mock net");
+    };
+    assert!(*delay_rounds >= 1 && *loss_p > 0.0 && !partitions.is_empty());
+    assert!(!s.faults.crashes.is_empty());
+    let path = golden_dir().join(format!("{}.json", s.name));
+    let golden = GoldenMetrics::from_json(&std::fs::read_to_string(&path).expect("blessed"))
+        .expect("golden parses");
+    let check = Campaign::new(vec![s]).unwrap().run().check(&[golden]);
+    let failures: Vec<_> = check.failures().collect();
+    assert!(failures.is_empty(), "drift: {failures:?}");
 }
 
 /// A synthetic report with the given per-trial (first_ack, acks, recvs,

@@ -92,6 +92,21 @@ impl SeedProcess {
         }
     }
 
+    /// Returns the process to the state [`SeedProcess::new`] gives it,
+    /// for a fresh run (the `LBAlg` preamble restarts one every phase),
+    /// keeping only the capacity of the output and history buffers.
+    pub fn reset(&mut self, cfg: SeedConfig) {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        let mut history = std::mem::take(&mut self.history);
+        outputs.clear();
+        history.clear();
+        *self = SeedProcess {
+            outputs,
+            history,
+            ..SeedProcess::new(cfg)
+        };
+    }
+
     /// The algorithm's total running time for the degree bound it will
     /// learn from the engine context.
     pub fn total_rounds(cfg: &SeedConfig, delta: usize) -> u64 {
@@ -274,7 +289,7 @@ impl Process for SeedProcess {
         // restart — the well-formedness spec treats that as the
         // violation it is, which is precisely what makes crash-restart
         // a strictly harsher fault model than power-save churn.
-        *self = SeedProcess::new(self.cfg.clone());
+        self.reset(self.cfg.clone());
     }
 }
 
@@ -385,6 +400,63 @@ mod tests {
             for (i, rec) in p.history().iter().enumerate() {
                 assert_eq!(rec.phase, i as u32 + 1);
             }
+        }
+    }
+
+    #[test]
+    fn a_reset_process_replays_a_fresh_one() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let cfg = SeedConfig::practical(0.25, 96);
+        let delta = 8;
+        let total = cfg.total_rounds(delta);
+        let heard = SeedMsg {
+            owner: 99,
+            seed: Seed::from_words(vec![0xABCD, 7], 96),
+        };
+        // Drives one run: every callback of every round, hearing `heard`
+        // once if listening at `hear_at`; `drain` mirrors an engine host
+        // (the LBAlg preamble leaves the outputs in place).
+        let drive = |p: &mut SeedProcess, rng_seed: u64, hear_at: u64, drain: bool| {
+            let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
+            let mut log = Vec::new();
+            for round in 1..=total + 2 {
+                let ctx = &mut Context {
+                    round,
+                    id: 5,
+                    delta,
+                    delta_prime: delta,
+                    r: 2.0,
+                    rng: &mut rng,
+                };
+                let action = p.transmit(ctx);
+                let msg = (round == hear_at && action == Action::Receive).then(|| heard.clone());
+                p.on_receive(msg, ctx);
+                let outputs = if drain { p.take_outputs() } else { Vec::new() };
+                log.push((action, outputs));
+            }
+            log
+        };
+        for (first, replay) in [
+            ((1, 3), (2, 5)),
+            ((3, total + 9), (4, 2)),
+            ((5, 2), (6, total + 9)),
+        ] {
+            let mut used = SeedProcess::new(cfg.clone());
+            drive(&mut used, first.0, first.1, false);
+            assert!(used.committed().is_some(), "the first run decided");
+            used.reset(cfg.clone());
+            let mut fresh = SeedProcess::new(cfg.clone());
+            assert_eq!(format!("{used:?}"), format!("{fresh:?}"), "reset state");
+            assert!(!used.has_outputs(), "reset clears undrained outputs");
+            assert_eq!(
+                drive(&mut used, replay.0, replay.1, true),
+                drive(&mut fresh, replay.0, replay.1, true),
+                "every callback replays"
+            );
+            assert_eq!(format!("{used:?}"), format!("{fresh:?}"), "final state");
+            assert_eq!(used.history(), fresh.history());
         }
     }
 

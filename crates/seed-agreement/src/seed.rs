@@ -10,12 +10,50 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A seed: an immutable bit string of fixed length `κ`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The words sit behind one shared `Arc`, so a clone — a preamble
+/// message fanned out to every neighbor, a decision adopted for a phase
+/// body — is a reference-count bump, and the value's size does not
+/// grow with `κ`.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Seed {
+    words: Arc<[u64]>,
+    len_bits: usize,
+}
+
+/// The serialized shape of a [`Seed`]: its words and bit length, the
+/// wire form whatever the in-memory layout.
+#[derive(Serialize, Deserialize)]
+struct SeedWire {
     words: Vec<u64>,
     len_bits: usize,
+}
+
+impl Serialize for Seed {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        SeedWire {
+            words: self.words.to_vec(),
+            len_bits: self.len_bits,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Seed {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = SeedWire::deserialize(deserializer)?;
+        if wire.len_bits == 0 || wire.len_bits > wire.words.len().saturating_mul(64) {
+            return Err(serde::de::Error::custom(format!(
+                "seed of {} bits does not fit its {} words",
+                wire.len_bits,
+                wire.words.len()
+            )));
+        }
+        Ok(Seed::from_words(wire.words, wire.len_bits))
+    }
 }
 
 impl Seed {
@@ -34,7 +72,10 @@ impl Seed {
     /// `len_bits` are masked out on read.
     pub fn from_words(words: Vec<u64>, len_bits: usize) -> Self {
         assert!(len_bits > 0 && len_bits <= words.len() * 64);
-        Seed { words, len_bits }
+        Seed {
+            words: words.into(),
+            len_bits,
+        }
     }
 
     /// The seed length `κ` in bits.
@@ -189,6 +230,21 @@ mod tests {
         let dbg = format!("{s:?}");
         assert!(dbg.contains("128b"));
         assert!(dbg.contains('…'));
+    }
+
+    #[test]
+    fn serde_keeps_the_wire_form_and_rejects_impossible_lengths() {
+        let s = Seed::from_words(vec![5, 6], 100);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json, r#"{"words":[5,6],"len_bits":100}"#);
+        assert_eq!(serde_json::from_str::<Seed>(&json).unwrap(), s);
+        for bad in [
+            r#"{"words":[1],"len_bits":65}"#,
+            r#"{"words":[],"len_bits":0}"#,
+            r#"{"words":[1],"len_bits":0}"#,
+        ] {
+            assert!(serde_json::from_str::<Seed>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 use dual_graph_broadcast::local_broadcast::config::LbConfig;
 use dual_graph_broadcast::local_broadcast::service::QueueWorkload;
 use dual_graph_broadcast::local_broadcast::{LbOutput, LbProcess, Payload};
-use dual_graph_broadcast::net::{
-    Cluster, ClusterConfig, MockNetConfig, MockNetTransport, PartitionWindow,
-};
+use dual_graph_broadcast::net::{MockNetConfig, MockNetTransport, PartitionWindow};
+use dual_graph_broadcast::radio_sim::engine::Engine;
 use dual_graph_broadcast::radio_sim::graph::NodeId;
+use dual_graph_broadcast::radio_sim::scheduler::NoExtraEdges;
 use dual_graph_broadcast::radio_sim::topology;
 use std::collections::VecDeque;
 
@@ -41,7 +41,7 @@ fn main() {
     println!(
         "mock net: delay 1 round/hop, loss 10%, partition {{0,1,2}} | {{3,4,5}} rounds 30–70"
     );
-    let transport = MockNetTransport::new(
+    let channel = MockNetTransport::new(
         topo.graph.clone(),
         MockNetConfig {
             delay_rounds: 1,
@@ -53,21 +53,23 @@ fn main() {
     );
 
     // Node 0 broadcasts one payload; every node runs an unmodified
-    // LbProcess and communicates only through the transport.
+    // LbProcess on the engine, with the mock network as its channel
+    // (the configuration's scheduler configures only the simulator's
+    // channel and goes unused).
     let mut queues = vec![VecDeque::new(); n];
     queues[0].push_back(Payload::new(0, 0));
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(topo.graph.clone()).with_r(topo.r),
-        transport,
+    let mut engine = Engine::with_channel(
+        topo.configuration(Box::new(NoExtraEdges)),
+        channel,
         procs,
         Box::new(QueueWorkload::new(queues, 1)),
         2015,
     );
 
     let horizon = params.t_ack_rounds() + params.phase_len();
-    cluster.run(horizon);
-    let trace = cluster.into_trace();
+    engine.run(horizon);
+    let trace = engine.into_trace();
 
     // Ack latency: LBAlg's ack is clock-driven, so it lands on schedule
     // even over a degraded channel.
