@@ -80,6 +80,25 @@ impl LbMac {
         cfg: LbConfig,
         master_seed: u64,
     ) -> Self {
+        Self::with_recording(
+            topo,
+            scheduler,
+            cfg,
+            master_seed,
+            RecordingPolicy::stats_only(),
+        )
+    }
+
+    /// Like [`LbMac::new`], but the trace records what `recording` asks
+    /// for. The layer reads only output events, which every policy
+    /// records, so its behaviour does not depend on the policy.
+    pub fn with_recording(
+        topo: &radio_sim::topology::Topology,
+        scheduler: Box<dyn radio_sim::scheduler::LinkScheduler>,
+        cfg: LbConfig,
+        master_seed: u64,
+        recording: RecordingPolicy,
+    ) -> Self {
         let n = topo.graph.len();
         let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
         let shared = Arc::new(Mutex::new(SharedQueues {
@@ -90,9 +109,7 @@ impl LbMac {
             shared: Arc::clone(&shared),
         };
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let config = topo
-            .configuration(scheduler)
-            .with_recording(RecordingPolicy::stats_only());
+        let config = topo.configuration(scheduler).with_recording(recording);
         let proc_ids = config.proc_ids.clone();
         let engine = Engine::new(config, procs, Box::new(bridge), master_seed);
         LbMac {

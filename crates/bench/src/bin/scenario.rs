@@ -258,40 +258,34 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("   {}", s.description);
     }
 
-    let save_trace = arg_value(args, "--save-trace");
-    let telemetry_out = arg_value(args, "--telemetry");
+    // Every single run is a one-scenario observed campaign: it drives
+    // the heartbeat and fills the telemetry, and its report is identical
+    // to a plain run's, since telemetry only observes.
     let start = std::time::Instant::now();
-    let (report, trace) = if save_trace.is_some() && telemetry_out.is_none() {
-        // Capture trial 0's trace from the same execution rather than
-        // re-simulating it afterwards.
-        let (report, trace) = runner.run_with_trial0_trace();
-        (report, Some(trace))
-    } else {
-        // Observed run: a one-scenario campaign drives the heartbeat
-        // and fills the telemetry. The report is identical to a plain
-        // run — telemetry only observes.
-        let campaign =
-            Campaign::new(vec![runner.scenario().clone()]).map_err(|e| e.to_string())?;
-        let hb = Heartbeat::new(&runner.scenario().name, 1, runner.scenario().trials as u64);
-        let (creport, telem) = campaign.run_observed(Some(&hb));
-        hb.finish();
-        let report = creport
-            .reports
-            .into_iter()
-            .next()
-            .expect("one-scenario campaign yields one report");
-        write_journal(&telemetry_out, &telem, "single", &report.scenario.name)?;
-        // Trial 0 is a pure function of the seed, so re-simulating it
-        // for the trace yields the exact bytes of the observed trial.
-        let trace = save_trace.as_ref().map(|_| runner.trial_trace_json(0));
-        (report, trace)
-    };
+    let campaign = Campaign::new(vec![s.clone()]).map_err(|e| e.to_string())?;
+    let hb = Heartbeat::new(&s.name, 1, s.trials as u64);
+    let (creport, telem) = campaign.run_observed(Some(&hb));
+    hb.finish();
+    let report = creport
+        .reports
+        .into_iter()
+        .next()
+        .expect("one-scenario campaign yields one report");
+    write_journal(
+        &arg_value(args, "--telemetry"),
+        &telem,
+        "single",
+        &report.scenario.name,
+    )?;
     eprintln!("   ({} trial(s), {:.1?})", report.outcomes.len(), start.elapsed());
     for table in report.tables() {
         println!("{table}");
     }
 
-    if let (Some(path), Some(json)) = (save_trace, trace) {
+    if let Some(path) = arg_value(args, "--save-trace") {
+        // Trial 0 is a pure function of the seed, so re-simulating it
+        // for the trace yields the exact bytes of the observed trial.
+        let json = runner.trial_trace_json(0);
         std::fs::write(&path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("saved trial-0 trace ({} bytes) to {path}", json.len());
     }

@@ -125,22 +125,20 @@ impl Campaign {
         self.runners.iter().map(|r| r.scenario())
     }
 
-    /// Runs every trial of every scenario on one worker pool and
-    /// reassembles per-scenario reports in campaign order.
-    pub fn run(&self) -> CampaignReport {
-        // Flatten (scenario, trial) pairs into a single job list so the
-        // pool crosses scenario boundaries without a barrier.
-        let jobs: Vec<(usize, usize)> = self
-            .runners
+    /// Every *(scenario, trial)* pair, scenario by scenario: one job
+    /// list, so the pool crosses scenario boundaries without a barrier.
+    fn jobs(&self) -> Vec<(usize, usize)> {
+        self.runners
             .iter()
             .enumerate()
             .flat_map(|(si, r)| (0..r.scenario().trials).map(move |t| (si, t)))
-            .collect();
-        let mut outcomes = run_jobs_on(jobs.len(), self.threads, |j| {
-            let (si, trial) = jobs[j];
-            self.runners[si].run_trial(trial)
-        })
-        .into_iter();
+            .collect()
+    }
+
+    /// Regroups job-ordered outcomes into per-scenario reports, in
+    /// campaign order.
+    fn report(&self, outcomes: Vec<TrialOutcome>) -> CampaignReport {
+        let mut outcomes = outcomes.into_iter();
         let reports = self
             .runners
             .iter()
@@ -150,6 +148,16 @@ impl Campaign {
             })
             .collect();
         CampaignReport { reports }
+    }
+
+    /// Runs every trial of every scenario on one worker pool and
+    /// reassembles per-scenario reports in campaign order.
+    pub fn run(&self) -> CampaignReport {
+        let jobs = self.jobs();
+        self.report(run_jobs_on(jobs.len(), self.threads, |j| {
+            let (si, trial) = jobs[j];
+            self.runners[si].run_trial(trial)
+        }))
     }
 
     /// Like [`Campaign::run`], but **observed**: every trial runs with
@@ -164,12 +172,7 @@ impl Campaign {
     /// one outcome per trial, not one 16 KiB histogram; the merge only
     /// adds and takes min/max, so completion order cannot change it.
     pub fn run_observed(&self, heartbeat: Option<&Heartbeat>) -> (CampaignReport, RunTelemetry) {
-        let jobs: Vec<(usize, usize)> = self
-            .runners
-            .iter()
-            .enumerate()
-            .flat_map(|(si, r)| (0..r.scenario().trials).map(move |t| (si, t)))
-            .collect();
+        let jobs = self.jobs();
         let threads = effective_threads(jobs.len(), self.threads);
         struct Acc {
             worker_busy_ns: Vec<u64>,
@@ -221,31 +224,15 @@ impl Campaign {
         let wall_ns = start.elapsed().as_nanos() as u64;
         let acc = acc.into_inner().expect("telemetry accumulator");
 
-        // Reassemble per scenario. Jobs are contiguous per scenario and
-        // outcomes/elapsed are job-index-ordered, so a single zip walks
-        // every scenario's trials in trial order.
         let mut scenarios: Vec<ScenarioTelemetry> = scenarios
             .into_iter()
             .map(|s| s.into_inner().expect("scenario telemetry"))
             .collect();
-        let mut per_outcomes: Vec<Vec<TrialOutcome>> = self
-            .runners
-            .iter()
-            .map(|r| Vec::with_capacity(r.scenario().trials))
-            .collect();
-        for ((&(si, _), outcome), &elapsed) in jobs.iter().zip(outcomes).zip(&acc.elapsed_ns) {
-            scenarios[si].record_trial(&outcome, elapsed);
-            per_outcomes[si].push(outcome);
+        // Outcomes and elapsed times are job-index-ordered, so one zip
+        // walks every scenario's trials in trial order.
+        for ((&(si, _), outcome), &elapsed) in jobs.iter().zip(&outcomes).zip(&acc.elapsed_ns) {
+            scenarios[si].record_trial(outcome, elapsed);
         }
-        let reports = self
-            .runners
-            .iter()
-            .zip(per_outcomes)
-            .map(|(r, outcomes)| ScenarioReport {
-                scenario: r.scenario().clone(),
-                outcomes,
-            })
-            .collect();
         let mut trial_ns = Histogram::new();
         for s in &scenarios {
             trial_ns.merge(&s.trial_ns);
@@ -257,7 +244,7 @@ impl Campaign {
             trial_ns,
             scenarios,
         };
-        (CampaignReport { reports }, telemetry)
+        (self.report(outcomes), telemetry)
     }
 }
 

@@ -18,6 +18,10 @@
 //! * [`runner`] — the [`ScenarioRunner`](runner::ScenarioRunner),
 //!   compiling a scenario into configured `radio-sim` executions, fanning
 //!   trials across cores, and aggregating experiment-style stats tables.
+//!   A trial's [`TrialOutcome`] is measured from its trace in one
+//!   place for every workload: one walk over the outputs counts acks
+//!   and deliveries, finds the first ack and the watched delivery, and
+//!   splits deliveries over jammed and clear nodes.
 //! * [`campaign`] — the [`Campaign`](campaign::Campaign) batch runner
 //!   (every registry entry, or a subset, fanned out across scenarios as
 //!   well as trials), its combined markdown report, and the
@@ -42,13 +46,17 @@
 //!   (random or (μ+λ) evolutionary) maximizing an ack-latency or
 //!   spec-violation [`Objective`](search::Objective); worst cases land
 //!   in a [`SearchArchive`](search::SearchArchive) and are re-emitted
-//!   as blessable scenario files (`scenarios/found/`).
+//!   as blessable scenario files (`scenarios/found/`). The presets
+//!   ([`search::presets`]) are the files under `scenarios/search/`.
 //!
 //! Scenarios serialize to JSON (`Scenario::to_json` /
 //! `Scenario::from_json`); the `scenario` binary in the `bench` crate
-//! runs a registry name or a JSON file end-to-end. Executions are pure
-//! functions of `(scenario, trial index)`: replaying a trial yields a
-//! byte-identical trace, fault injection included.
+//! runs a registry name or a JSON file end-to-end, always as an
+//! observed one-scenario [`Campaign`], and saves trial 0's full trace
+//! with [`ScenarioRunner::trial_trace_json`].
+//! Executions are pure functions of `(scenario, trial index)`:
+//! replaying a trial yields a byte-identical trace, fault injection
+//! included.
 //!
 //! ```
 //! use scenario::prelude::*;

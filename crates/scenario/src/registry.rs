@@ -13,6 +13,10 @@
 //! once per process, and handed out as clones. Adding an entry means
 //! adding its file (often an edited `scenario <neighbour> --export`), its
 //! line here, and a blessed golden (`scenario campaign <name> --bless`).
+//! The sweep families (`scenarios/sweeps/`, in [`crate::sweep`]) and
+//! the search presets (`scenarios/search/`, in [`crate::search`]) are
+//! embedded the same way, and one catalog test holds all three
+//! directories to exactly their embedded sets.
 //!
 //! The derived statistics of the original experiments (Wilson intervals,
 //! log-fits, per-claim assertions) remain in `analysis::experiments`.

@@ -62,6 +62,12 @@ impl Probe {
     const NONE: Probe = Probe { trace: false, telemetry: false };
     const TRACE: Probe = Probe { trace: true, telemetry: false };
     const TELEMETRY: Probe = Probe { trace: false, telemetry: true };
+
+    /// The trace as JSON, when this probe asked for it.
+    fn json<T: serde::Serialize>(self, trace: &T) -> Option<String> {
+        self.trace
+            .then(|| serde_json::to_string(trace).expect("trace serializes"))
+    }
 }
 
 /// Everything one probed trial execution produced.
@@ -497,35 +503,6 @@ impl ScenarioRunner {
         }
     }
 
-    /// Like [`ScenarioRunner::run`], but also returns trial 0's trace
-    /// JSON from the same execution (no re-simulation; the bytes equal
-    /// [`ScenarioRunner::trial_trace_json`]`(0)`).
-    pub fn run_with_trial0_trace(&self) -> (ScenarioReport, String) {
-        let base = self.scenario.base_seed;
-        let results = run_trials(self.scenario.trials, base, |seed| {
-            let probe = if seed == base { Probe::TRACE } else { Probe::NONE };
-            let (outcome, trace, _) = self.run_seeded(seed, probe);
-            (outcome, trace)
-        });
-        let mut trace = None;
-        let outcomes = results
-            .into_iter()
-            .map(|(o, t)| {
-                if let Some(t) = t {
-                    trace = Some(t);
-                }
-                o
-            })
-            .collect();
-        (
-            ScenarioReport {
-                scenario: self.scenario.clone(),
-                outcomes,
-            },
-            trace.expect("trial 0 always runs"),
-        )
-    }
-
     /// Runs the single trial with index `trial` (master seed
     /// `base_seed.wrapping_add(trial)`, matching the parallel path).
     pub fn run_trial(&self, trial: usize) -> TrialOutcome {
@@ -717,31 +694,14 @@ impl ScenarioRunner {
             horizon,
             |_decide| true,
         );
-        let spec_ok = seed_spec::check_well_formedness(&trace).is_ok()
+        let mut outcome = self.outcome(&trace, master_seed, stop_satisfied, |_decide| true);
+        outcome.spec_ok = seed_spec::check_well_formedness(&trace).is_ok()
             && seed_spec::check_consistency(&trace).is_ok()
             && seed_spec::check_owner_seed_fidelity(&trace).is_ok();
-        let max_owners = seed_spec::owners_per_neighborhood(&trace, &self.graph)
+        outcome.max_owners = seed_spec::owners_per_neighborhood(&trace, &self.graph)
             .ok()
             .and_then(|per| per.into_iter().max());
-        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |_| true);
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: 0,
-            recvs: trace.outputs().count(),
-            totals: trace.total_stats(),
-            first_ack: None,
-            first_delivery: self.watched_delivery(&trace, |_| true),
-            stop_satisfied,
-            max_owners,
-            spec_ok,
-            jammed_recvs,
-            clear_recvs,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        (outcome, probe.json(&trace), metrics)
     }
 
     fn run_local_broadcast(
@@ -768,38 +728,12 @@ impl ScenarioRunner {
         }
         let env = QueueWorkload::new(queues, 1);
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let (trace, stop_satisfied, metrics) = self.execute(
-            procs,
-            Box::new(env),
-            master_seed,
-            probe,
-            horizon,
-            |o: &LbOutput| !o.is_ack(),
-        );
-        let spec_ok = lb_spec::check_timely_ack(&trace, params.t_ack_rounds()).is_ok()
+        let (trace, stop_satisfied, metrics) =
+            self.execute(procs, Box::new(env), master_seed, probe, horizon, is_recv);
+        let mut outcome = self.outcome(&trace, master_seed, stop_satisfied, is_recv);
+        outcome.spec_ok = lb_spec::check_timely_ack(&trace, params.t_ack_rounds()).is_ok()
             && lb_spec::check_validity(&trace, &self.graph).is_ok();
-        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |o: &LbOutput| !o.is_ack());
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: trace.outputs().filter(|(_, _, o)| !o.is_ack()).count(),
-            totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(&trace, |o: &LbOutput| !o.is_ack()),
-            stop_satisfied,
-            max_owners: None,
-            spec_ok,
-            jammed_recvs,
-            clear_recvs,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        (outcome, probe.json(&trace), metrics)
     }
 
     fn run_baseline(
@@ -828,30 +762,10 @@ impl ScenarioRunner {
             master_seed,
             probe,
             horizon,
-            |o: &LbOutput| !o.is_ack(),
+            is_recv,
         );
-        let (jammed_recvs, clear_recvs) = self.region_recvs(&trace, |o: &LbOutput| !o.is_ack());
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: trace.outputs().filter(|(_, _, o)| !o.is_ack()).count(),
-            totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(&trace, |o: &LbOutput| !o.is_ack()),
-            stop_satisfied,
-            max_owners: None,
-            jammed_recvs,
-            clear_recvs,
-            spec_ok: true,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(&trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        let outcome = self.outcome(&trace, master_seed, stop_satisfied, is_recv);
+        (outcome, probe.json(&trace), metrics)
     }
 
     fn run_amac_flood(
@@ -867,39 +781,27 @@ impl ScenarioRunner {
             .adversary
             .build_oblivious(master_seed)
             .expect("validation rejects adaptive adversaries for amac flood");
-        let mut mac = amac::adapter::LbMac::new(&self.topo, sched, cfg, master_seed);
+        let mut mac = amac::adapter::LbMac::with_recording(
+            &self.topo,
+            sched,
+            cfg,
+            master_seed,
+            Self::recording_for(probe.trace),
+        );
         mac.set_telemetry(probe.telemetry);
         let f_ack = mac.params().t_ack_rounds();
         let n = self.graph.len();
         let horizon = self.horizon(f_ack, f_ack.saturating_mul(n as u64 + 4).saturating_mul(2));
         let source_nodes: Vec<NodeId> = sources.iter().map(|&v| NodeId(v)).collect();
         let out = amac::apps::flood_broadcast(&mut mac, &source_nodes, 1, horizon);
-        let complete = out.complete(source_nodes.len());
-        let known: usize = out.known.iter().map(|k| k.len()).sum();
-        let trace = mac.trace();
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: known,
-            totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
-            first_delivery: out.completed_at,
-            stop_satisfied: complete,
-            max_owners: None,
-            spec_ok: true,
-            // The MAC flood rejects fault plans, so there is never a
-            // jammed region to split deliveries over.
-            jammed_recvs: None,
-            clear_recvs: None,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
-        (outcome, json, mac.take_telemetry())
+        // The flood's deliveries are the messages nodes learned, and its
+        // stop goal is completion. It rejects fault plans, so its
+        // deliveries are never split over jammed nodes.
+        let complete = out.complete(sources.len());
+        let mut outcome = self.outcome(mac.trace(), master_seed, complete, is_recv);
+        outcome.recvs = out.known.iter().map(|k| k.len()).sum();
+        outcome.first_delivery = out.completed_at;
+        (outcome, probe.json(mac.trace()), mac.take_telemetry())
     }
 
     /// Runs the engine to the stop condition: plain budgets run
@@ -936,55 +838,67 @@ impl ScenarioRunner {
         (engine.into_trace(), stop_satisfied, metrics)
     }
 
-    /// Delivery outputs split by whether the output's node sits inside
-    /// the union of compiled jam windows — `(jammed, clear)`, or
-    /// `(None, None)` when the plan jams nothing (keeping jam-free
-    /// reports exactly as they were).
-    fn region_recvs<I, O, M>(
+    /// What a trial's trace measured, in one walk over its outputs.
+    /// Every output `is_delivery` rejects is an acknowledgment. The
+    /// first delivery is the one the stop condition watches, or the
+    /// first anywhere for plain budgets. Deliveries split over the nodes
+    /// inside and outside the union of compiled jam windows, or not at
+    /// all when the plan jams nothing. The workload arms fill in
+    /// `spec_ok` and `max_owners`.
+    fn outcome<I, O, M>(
         &self,
         trace: &Trace<I, O, M>,
+        master_seed: u64,
+        stop_satisfied: bool,
         is_delivery: impl Fn(&O) -> bool,
-    ) -> (Option<usize>, Option<usize>) {
-        if self.faults.jams.is_empty() {
-            return (None, None);
-        }
-        let mut in_region = vec![false; self.graph.len()];
-        for j in &self.faults.jams {
-            for v in &j.nodes {
+    ) -> TrialOutcome {
+        let jammed_nodes = (!self.faults.jams.is_empty()).then(|| {
+            let mut in_region = vec![false; self.graph.len()];
+            for v in self.faults.jams.iter().flat_map(|j| &j.nodes) {
                 in_region[v.0] = true;
             }
-        }
-        let (mut jammed, mut clear) = (0, 0);
-        for (_, v, o) in trace.outputs() {
-            if is_delivery(o) {
-                if in_region[v.0] {
-                    jammed += 1;
-                } else {
-                    clear += 1;
-                }
+            in_region
+        });
+        let watch = match self.scenario.stop {
+            StopSpec::FirstDeliveryAt { node, .. } => Some(NodeId(node)),
+            _ => None,
+        };
+        let (mut acks, mut recvs, mut jammed) = (0, 0, 0);
+        let (mut first_ack, mut first_delivery) = (None, None);
+        for (round, v, o) in trace.outputs() {
+            if !is_delivery(o) {
+                acks += 1;
+                first_ack.get_or_insert(round);
+                continue;
+            }
+            recvs += 1;
+            if watch.is_none_or(|w| w == v) {
+                first_delivery.get_or_insert(round);
+            }
+            if let Some(in_region) = &jammed_nodes {
+                jammed += usize::from(in_region[v.0]);
             }
         }
-        (Some(jammed), Some(clear))
-    }
-
-    /// The round of the delivery the stop condition watches (or the
-    /// first matching output anywhere, for plain budgets).
-    fn watched_delivery<I, O, M>(
-        &self,
-        trace: &Trace<I, O, M>,
-        is_delivery: impl Fn(&O) -> bool,
-    ) -> Option<u64> {
-        match self.scenario.stop {
-            StopSpec::FirstDeliveryAt { node, .. } => trace
-                .outputs()
-                .find(|(_, v, o)| *v == NodeId(node) && is_delivery(o))
-                .map(|(r, _, _)| r),
-            _ => trace
-                .outputs()
-                .find(|(_, _, o)| is_delivery(o))
-                .map(|(r, _, _)| r),
+        TrialOutcome {
+            master_seed,
+            rounds: trace.rounds,
+            acks,
+            recvs,
+            totals: trace.total_stats(),
+            first_ack,
+            first_delivery,
+            stop_satisfied,
+            max_owners: None,
+            spec_ok: true,
+            jammed_recvs: jammed_nodes.as_ref().map(|_| jammed),
+            clear_recvs: jammed_nodes.map(|_| recvs - jammed),
         }
     }
+}
+
+/// The LB delivery predicate: every output but an acknowledgment.
+fn is_recv(o: &LbOutput) -> bool {
+    !o.is_ack()
 }
 
 #[cfg(test)]
@@ -1075,14 +989,49 @@ mod tests {
     }
 
     #[test]
-    fn run_with_trace_matches_replay() {
-        let runner = ScenarioRunner::new(
-            small_lb("t").drop_burst(5, 30, 0.5).build().unwrap(),
-        )
-        .unwrap();
-        let (report, trace) = runner.run_with_trial0_trace();
-        assert_eq!(report.outcomes.len(), 2);
-        assert_eq!(trace, runner.trial_trace_json(0));
+    fn stats_only_trials_match_full_recording_metrics() {
+        // Metric trials record stats only; the traced probe records the
+        // full event log. Both run the identical execution, so every
+        // outcome field must agree — the lean fan-out must not change
+        // outcomes.
+        for name in ["e5", "churn", "jamming-window", "e11"] {
+            let mut s = crate::registry::find(name).unwrap();
+            s.trials = 2;
+            let runner = ScenarioRunner::new(s).unwrap();
+            let lean = runner.run();
+            for (trial, lean) in lean.outcomes.iter().enumerate() {
+                let seed = runner.scenario.base_seed.wrapping_add(trial as u64);
+                let (full, trace, _) = runner.run_seeded(seed, Probe::TRACE);
+                assert!(trace.is_some(), "{name}");
+                assert_eq!(&full, lean, "{name} trial {trial}");
+            }
+        }
+    }
+
+    #[test]
+    fn deliveries_split_over_jammed_and_clear_nodes() {
+        // Pinned per trial: `jammed + clear == recvs`, and the split
+        // itself on the two jamming registry scenarios.
+        for (name, split) in [
+            ("jamming-window", [(1, 4); 4]),
+            ("mobility", [(19, 11), (18, 8), (11, 7), (22, 12)]),
+        ] {
+            let runner = ScenarioRunner::new(crate::registry::find(name).unwrap()).unwrap();
+            let outcomes = runner.run().outcomes;
+            assert_eq!(outcomes.len(), split.len(), "{name}");
+            for (o, (jammed, clear)) in outcomes.iter().zip(split) {
+                assert_eq!(o.jammed_recvs, Some(jammed), "{name}");
+                assert_eq!(o.clear_recvs, Some(clear), "{name}");
+                assert_eq!(jammed + clear, o.recvs, "{name}");
+            }
+        }
+        let e5 = ScenarioRunner::new(crate::registry::find("e5").unwrap()).unwrap();
+        let o = e5.run_trial(0);
+        assert_eq!(
+            (o.jammed_recvs, o.clear_recvs),
+            (None, None),
+            "e5 jams nothing"
+        );
     }
 
     #[test]

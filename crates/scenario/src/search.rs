@@ -39,6 +39,7 @@ use analysis::stats::Summary;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::Invalid(msg.into())
@@ -1001,117 +1002,39 @@ pub fn found_scenario(spec: &SearchSpec, entry: &ArchiveEntry) -> Scenario {
 // Presets
 // ---------------------------------------------------------------------------
 
+/// The search preset files, in registry order: `lb-worst`, the pinned
+/// small-budget search whose archive CI reproduces byte for byte, and
+/// `lb-mobile-jam`, which pins the moving-jam sampler end to end.
+const FILES: &[&str] = &[
+    include_str!("../../../scenarios/search/lb_worst.json"),
+    include_str!("../../../scenarios/search/lb_mobile_jam.json"),
+];
+
+/// The parsed presets, built on first use.
+fn registry() -> &'static [SearchSpec] {
+    static REGISTRY: OnceLock<Vec<SearchSpec>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        FILES
+            .iter()
+            .map(|json| {
+                SearchSpec::from_json(json)
+                    .unwrap_or_else(|e| panic!("embedded search file is invalid: {e}"))
+            })
+            .collect()
+    })
+}
+
 /// The registered search presets, in registry order.
 pub fn presets() -> Vec<SearchSpec> {
-    vec![lb_worst(), lb_mobile_jam()]
+    registry().to_vec()
 }
 
 /// Looks up a preset by name (case-insensitive).
 pub fn find_preset(name: &str) -> Option<SearchSpec> {
-    presets()
-        .into_iter()
+    registry()
+        .iter()
         .find(|s| s.name.eq_ignore_ascii_case(name))
-}
-
-/// The pinned small-budget search: maximize the censored mean ack
-/// latency of a single broadcast on the churn scenario's 4×4 grid.
-/// The fixed seed makes it reproducible end to end — CI re-runs it and
-/// golden-gates the emitted worst case — and its winner demonstrably
-/// beats every hand-written registry scenario's blessed ack mean (the
-/// acceptance test pins this).
-fn lb_worst() -> SearchSpec {
-    let base = crate::spec::ScenarioBuilder::new(
-        "lb-worst",
-        crate::spec::TopologySpec::Grid {
-            rows: 4,
-            cols: 4,
-            spacing: 0.9,
-            r: 2.0,
-        },
-        WorkloadSpec::LocalBroadcast {
-            epsilon1: 0.25,
-            senders: vec![0],
-            messages_per_sender: 1,
-        },
-    )
-    .description("search base: single broadcast on the churn grid, fixed 4536-round horizon")
-    .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-    .stop(crate::spec::StopSpec::Rounds { rounds: 4_536 })
-    .trials(2)
-    .base_seed(90_000)
-    .build()
-    .expect("preset base is valid");
-    SearchSpec {
-        name: "lb-worst".into(),
-        description: "hunt the adversary/fault combination that maximizes the censored \
-                      mean ack latency of a single broadcast on the 4×4 churn grid \
-                      (horizon 4536 rounds ≈ 1.5× the nominal t_ack)"
-            .into(),
-        base,
-        objective: Objective::MeanAckLatency,
-        strategy: StrategySpec::Evolutionary { mu: 4, lambda: 8 },
-        budget: 20,
-        seed: 0x5EA_C41,
-        trials: None,
-        space: SpaceSpec::for_horizon(4_536),
-    }
-}
-
-/// The pinned dynamic-geometry search: moving jam discs hunting a
-/// single broadcast on a mobile random-geometric arena. Small budget —
-/// the preset exists to pin the moving-jam sampler end to end (the
-/// acceptance test checks a rerun stays deterministic and actually
-/// drifts its discs), not to explore exhaustively.
-fn lb_mobile_jam() -> SearchSpec {
-    let base = crate::spec::ScenarioBuilder::new(
-        "lb-mobile-jam",
-        crate::spec::TopologySpec::RandomGeometric {
-            n: 16,
-            side: 3.0,
-            r: 1.6,
-            grey_reliable_p: 0.1,
-            grey_unreliable_p: 0.9,
-            seed: 11,
-        },
-        WorkloadSpec::LocalBroadcast {
-            epsilon1: 0.25,
-            senders: vec![0],
-            messages_per_sender: 1,
-        },
-    )
-    .description(
-        "search base: single broadcast on a 16-node mobile RGG arena, \
-         5 geometry epochs over a 1500-round horizon",
-    )
-    .adversary(AdversarySpec::Bernoulli { p: 0.5 })
-    .stop(crate::spec::StopSpec::Rounds { rounds: 1_500 })
-    .mobility(0.002, 300)
-    .trials(2)
-    .base_seed(91_000)
-    .build()
-    .expect("preset base is valid");
-    let mut space = SpaceSpec::for_horizon(1_500);
-    space.max_crashes = 2;
-    space.max_jams = 2;
-    space.moving_jams = Some(MovingJamSpace {
-        arena_side: 3.0,
-        radius: 1.5,
-        velocity: 0.01,
-    });
-    SearchSpec {
-        name: "lb-mobile-jam".into(),
-        description: "hunt the moving-disc jam schedule that maximizes the censored \
-                      mean ack latency of a single broadcast while the deployment \
-                      itself drifts (random-waypoint mobility, 300-round epochs)"
-            .into(),
-        base,
-        objective: Objective::MeanAckLatency,
-        strategy: StrategySpec::Random,
-        budget: 6,
-        seed: 0x4D0B11,
-        trials: None,
-        space,
-    }
+        .cloned()
 }
 
 #[cfg(test)]
@@ -1346,7 +1269,7 @@ mod tests {
 
     #[test]
     fn search_spec_json_roundtrip() {
-        let spec = lb_worst();
+        let spec = find_preset("lb-worst").unwrap();
         let back = SearchSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
     }

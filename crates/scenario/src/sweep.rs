@@ -644,37 +644,55 @@ struct SweepRow {
     labels: Vec<String>,
     scenario: String,
     trials: usize,
-    ack_latency: Option<f64>,
-    ack_trials: usize,
-    delivery_latency: Option<f64>,
-    delivery_trials: usize,
-    /// First-ack round percentiles over observing trials (histogram
-    /// extraction: exact below 256 rounds, deterministic).
-    ack_p50: Option<u64>,
-    ack_p95: Option<u64>,
-    ack_p99: Option<u64>,
-    /// Watched-delivery round percentiles over observing trials.
-    delivery_p50: Option<u64>,
-    delivery_p95: Option<u64>,
-    delivery_p99: Option<u64>,
-    acks: f64,
-    deliveries: f64,
-    spec_ok_rate: f64,
+    m: MeasuredMetrics,
 }
 
 /// A metric extractor over one sweep row (curve pivots and charts).
 type MetricGetter = fn(&SweepRow) -> Option<f64>;
 
-/// Display rendering for an optional percentile: the round number, or
-/// a dash when no trial observed the event.
-fn pnum(v: Option<u64>) -> String {
-    v.map_or("—".into(), |v| v.to_string())
+/// One summary value of a grid point, before rendering.
+enum Value {
+    Count(usize),
+    Mean(Option<f64>),
+    Round(Option<u64>),
 }
 
-/// CSV rendering for an optional percentile: empty cell when absent.
-fn popt(v: Option<u64>) -> String {
-    v.map(|v| v.to_string()).unwrap_or_default()
+impl Value {
+    /// The display cell rounds means (`fnum`) and marks an absent value
+    /// with `—`; the CSV cell carries full precision and leaves an
+    /// absent value empty.
+    fn render(&self, csv: bool) -> String {
+        match *self {
+            Value::Count(c) => c.to_string(),
+            Value::Mean(Some(v)) if csv => v.to_string(),
+            Value::Mean(Some(v)) => fnum(v),
+            Value::Round(Some(r)) => r.to_string(),
+            Value::Mean(None) | Value::Round(None) if csv => String::new(),
+            Value::Mean(None) | Value::Round(None) => "—".into(),
+        }
+    }
 }
+
+/// A summary column: its header and its value in one sweep row.
+type Column = (&'static str, fn(&SweepRow) -> Value);
+
+/// The summary columns of the long table and the CSV, in order.
+const SUMMARY: [Column; 14] = [
+    ("trials", |r| Value::Count(r.trials)),
+    ("spec_ok_rate", |r| Value::Mean(Some(r.m.spec_ok_rate))),
+    ("acks", |r| Value::Mean(Some(r.m.acks))),
+    ("deliveries", |r| Value::Mean(Some(r.m.deliveries))),
+    ("ack_latency", |r| Value::Mean(r.m.ack_latency)),
+    ("ack_trials", |r| Value::Count(r.m.ack_trials)),
+    ("delivery_latency", |r| Value::Mean(r.m.delivery_latency)),
+    ("delivery_trials", |r| Value::Count(r.m.delivery_trials)),
+    ("ack_p50", |r| Value::Round(r.m.ack_p50)),
+    ("ack_p95", |r| Value::Round(r.m.ack_p95)),
+    ("ack_p99", |r| Value::Round(r.m.ack_p99)),
+    ("delivery_p50", |r| Value::Round(r.m.delivery_p50)),
+    ("delivery_p95", |r| Value::Round(r.m.delivery_p95)),
+    ("delivery_p99", |r| Value::Round(r.m.delivery_p99)),
+];
 
 /// A sweep's outcome tables: the long-format grid table (the CSV
 /// schema) and per-metric curve pivots (last axis across the columns).
@@ -702,24 +720,11 @@ impl SweepReport {
                     .reports
                     .iter()
                     .find(|r| r.scenario.name == p.scenario.name)?;
-                let m = MeasuredMetrics::of(r);
                 Some(SweepRow {
                     labels: p.labels.clone(),
                     scenario: p.scenario.name.clone(),
                     trials: r.outcomes.len(),
-                    ack_latency: m.ack_latency,
-                    ack_trials: m.ack_trials,
-                    delivery_latency: m.delivery_latency,
-                    delivery_trials: m.delivery_trials,
-                    ack_p50: m.ack_p50,
-                    ack_p95: m.ack_p95,
-                    ack_p99: m.ack_p99,
-                    delivery_p50: m.delivery_p50,
-                    delivery_p95: m.delivery_p95,
-                    delivery_p99: m.delivery_p99,
-                    acks: m.acks,
-                    deliveries: m.deliveries,
-                    spec_ok_rate: m.spec_ok_rate,
+                    m: MeasuredMetrics::of(r),
                 })
             })
             .collect();
@@ -736,54 +741,38 @@ impl SweepReport {
         }
     }
 
+    /// The header, then one row per measured point: the point's name,
+    /// its axis labels, then the [`SUMMARY`] columns rendered for
+    /// display or for CSV.
+    fn grid(&self, csv: bool) -> (Vec<String>, Vec<Vec<String>>) {
+        let mut headers = vec!["point".to_string()];
+        headers.extend(self.axes.iter().cloned());
+        headers.extend(SUMMARY.iter().map(|(name, _)| name.to_string()));
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| {
+                let mut row = vec![r.scenario.clone()];
+                row.extend(r.labels.iter().cloned());
+                row.extend(SUMMARY.iter().map(|(_, value)| value(r).render(csv)));
+                row
+            })
+            .collect();
+        (headers, rows)
+    }
+
     /// The long-format grid table: one row per measured point, one
     /// column per axis, then the summary metrics. `to_csv` of this
     /// table is the sweep CSV schema.
     pub fn long_table(&self) -> Table {
-        let mut headers = vec!["point"];
-        let axis_headers: Vec<&str> = self.axes.iter().map(String::as_str).collect();
-        headers.extend(axis_headers);
-        headers.extend([
-            "trials",
-            "spec_ok_rate",
-            "acks",
-            "deliveries",
-            "ack_latency",
-            "ack_trials",
-            "delivery_latency",
-            "delivery_trials",
-            "ack_p50",
-            "ack_p95",
-            "ack_p99",
-            "delivery_p50",
-            "delivery_p95",
-            "delivery_p99",
-        ]);
+        let (headers, rows) = self.grid(false);
         let mut t = Table::new(
             format!("{}-grid", self.name),
             format!("sweep {}: all measured grid points", self.name),
             self.description.clone(),
-            headers,
+            headers.iter().map(String::as_str).collect(),
         );
-        for r in &self.rows {
-            let mut row = vec![r.scenario.clone()];
-            row.extend(r.labels.iter().cloned());
-            row.extend([
-                r.trials.to_string(),
-                fnum(r.spec_ok_rate),
-                fnum(r.acks),
-                fnum(r.deliveries),
-                r.ack_latency.map_or("—".into(), fnum),
-                r.ack_trials.to_string(),
-                r.delivery_latency.map_or("—".into(), fnum),
-                r.delivery_trials.to_string(),
-                pnum(r.ack_p50),
-                pnum(r.ack_p95),
-                pnum(r.ack_p99),
-                pnum(r.delivery_p50),
-                pnum(r.delivery_p95),
-                pnum(r.delivery_p99),
-            ]);
+        for row in rows {
             t.push_row(row);
         }
         t
@@ -805,49 +794,9 @@ impl SweepReport {
                 s.to_string()
             }
         };
-        let opt = |v: Option<f64>| v.map(|v| v.to_string()).unwrap_or_default();
-        let mut headers = vec!["point".to_string()];
-        headers.extend(self.axes.iter().cloned());
-        headers.extend(
-            [
-                "trials",
-                "spec_ok_rate",
-                "acks",
-                "deliveries",
-                "ack_latency",
-                "ack_trials",
-                "delivery_latency",
-                "delivery_trials",
-                "ack_p50",
-                "ack_p95",
-                "ack_p99",
-                "delivery_p50",
-                "delivery_p95",
-                "delivery_p99",
-            ]
-            .map(String::from),
-        );
-        let mut out = headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for r in &self.rows {
-            let mut row = vec![r.scenario.clone()];
-            row.extend(r.labels.iter().cloned());
-            row.extend([
-                r.trials.to_string(),
-                r.spec_ok_rate.to_string(),
-                r.acks.to_string(),
-                r.deliveries.to_string(),
-                opt(r.ack_latency),
-                r.ack_trials.to_string(),
-                opt(r.delivery_latency),
-                r.delivery_trials.to_string(),
-                popt(r.ack_p50),
-                popt(r.ack_p95),
-                popt(r.ack_p99),
-                popt(r.delivery_p50),
-                popt(r.delivery_p95),
-                popt(r.delivery_p99),
-            ]);
+        let (headers, rows) = self.grid(true);
+        let mut out = String::new();
+        for row in std::iter::once(headers).chain(rows) {
             out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
@@ -866,11 +815,11 @@ impl SweepReport {
     /// The per-metric curve getters, in pivot/chart order.
     fn metrics() -> [(&'static str, MetricGetter); 5] {
         [
-            ("ack_latency", |r| r.ack_latency),
-            ("delivery_latency", |r| r.delivery_latency),
-            ("acks", |r| Some(r.acks)),
-            ("deliveries", |r| Some(r.deliveries)),
-            ("spec_ok_rate", |r| Some(r.spec_ok_rate)),
+            ("ack_latency", |r| r.m.ack_latency),
+            ("delivery_latency", |r| r.m.delivery_latency),
+            ("acks", |r| Some(r.m.acks)),
+            ("deliveries", |r| Some(r.m.deliveries)),
+            ("spec_ok_rate", |r| Some(r.m.spec_ok_rate)),
         ]
     }
 
@@ -1549,19 +1498,22 @@ mod tests {
                 labels: vec!["a".into()],
                 scenario: "tiny@p=a".into(),
                 trials: 3,
-                ack_latency: Some(1.0 / 3.0),
-                ack_trials: 3,
-                delivery_latency: None,
-                delivery_trials: 0,
-                ack_p50: Some(7),
-                ack_p95: Some(9),
-                ack_p99: Some(9),
-                delivery_p50: None,
-                delivery_p95: None,
-                delivery_p99: None,
-                acks: 1234.5678901234567,
-                deliveries: 2.0,
-                spec_ok_rate: 1.0,
+                m: MeasuredMetrics {
+                    ack_latency: Some(1.0 / 3.0),
+                    ack_trials: 3,
+                    delivery_latency: None,
+                    delivery_trials: 0,
+                    ack_p50: Some(7),
+                    ack_p95: Some(9),
+                    ack_p99: Some(9),
+                    delivery_p50: None,
+                    delivery_p95: None,
+                    delivery_p99: None,
+                    acks: 1234.5678901234567,
+                    deliveries: 2.0,
+                    spec_ok_rate: 1.0,
+                    spec_ok_trials: 3,
+                },
             }],
         };
         let csv = report.to_csv();

@@ -102,30 +102,6 @@ fn buffer_reuse_does_not_leak_across_executions() {
 }
 
 #[test]
-fn stats_only_trials_match_full_recording_metrics() {
-    // Metric trials record stats only; the traced path records the full
-    // event log. Both run the identical execution, so every summary
-    // metric must agree — the lean fan-out must not change outcomes.
-    for name in ["e5", "churn", "jamming-window"] {
-        let mut s = registry::find(name).unwrap();
-        s.trials = 2;
-        let runner = ScenarioRunner::new(s).unwrap();
-        let (report, _trace) = runner.run_with_trial0_trace();
-        let lean = runner.run();
-        for (full, lean) in report.outcomes.iter().zip(&lean.outcomes) {
-            assert_eq!(full.master_seed, lean.master_seed, "{name}");
-            assert_eq!(full.rounds, lean.rounds, "{name}");
-            assert_eq!(full.acks, lean.acks, "{name}");
-            assert_eq!(full.recvs, lean.recvs, "{name}");
-            assert_eq!(full.totals, lean.totals, "{name}");
-            assert_eq!(full.first_ack, lean.first_ack, "{name}");
-            assert_eq!(full.first_delivery, lean.first_delivery, "{name}");
-            assert_eq!(full.spec_ok, lean.spec_ok, "{name}");
-        }
-    }
-}
-
-#[test]
 fn memo_built_topologies_equal_fresh_builds() {
     let mut scenarios = registry::all();
     for family in sweep::sweeps() {

@@ -1,9 +1,10 @@
-//! Catalog-file tests: the checked-in `scenarios/*.json` and
-//! `scenarios/sweeps/*.json` files are exactly the embedded registry and
-//! sweep families, each in the exact form `--export` writes, and every
-//! checked-in scenario loads.
+//! Catalog-file tests: the checked-in `scenarios/*.json`,
+//! `scenarios/sweeps/*.json` and `scenarios/search/*.json` files are
+//! exactly the embedded registry, sweep families and search presets,
+//! each in the exact form its `to_json` writes, and every checked-in
+//! scenario loads.
 
-use scenario::{registry, sweep, Scenario, ScenarioError, SweepSpec};
+use scenario::{registry, search, sweep, Scenario, ScenarioError, SearchSpec, SweepSpec};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 
@@ -77,6 +78,13 @@ fn catalog_files_are_exactly_the_embedded_set() {
         SweepSpec::from_json,
         sweep::find_sweep,
         SweepSpec::to_json,
+    );
+    assert_exactly_embedded(
+        &scenarios_dir().join("search"),
+        search::presets().into_iter().map(|p| p.name).collect(),
+        SearchSpec::from_json,
+        search::find_preset,
+        SearchSpec::to_json,
     );
 }
 

@@ -57,14 +57,14 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 /// Parses a `T` out of a JSON string.
 pub fn from_str<T: serde::DeserializeOwned>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
         depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(Error::new(format!(
             "trailing characters at byte {}",
             parser.pos
@@ -196,15 +196,21 @@ fn write_value_pretty(out: &mut String, v: &Value, indent: usize) -> Result<(), 
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The input. `pos` only ever stops on a char boundary: every
+    /// token ends on an ASCII byte.
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -214,7 +220,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -230,7 +236,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             true
         } else {
@@ -346,7 +352,7 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::new("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -366,12 +372,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped characters up to the next
+                    // `"` or `\`. Both are ASCII, so the run ends on a
+                    // char boundary.
+                    let rest = &self.bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -393,8 +403,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::U64(n)));
@@ -453,7 +462,7 @@ mod tests {
     fn nesting_past_the_recursion_limit_is_an_error() {
         let parse = |json: &str| {
             Parser {
-                bytes: json.as_bytes(),
+                text: json,
                 pos: 0,
                 depth: 0,
             }
@@ -475,6 +484,28 @@ mod tests {
     fn whitespace_and_escapes_parse() {
         let v: Vec<String> = from_str(" [ \"a\\n\" , \"\\u0041\" ] ").unwrap();
         assert_eq!(v, vec!["a\n".to_string(), "A".to_string()]);
+    }
+
+    #[test]
+    fn multibyte_characters_mix_with_escapes() {
+        // Runs of multibyte characters end right at an escape, start right
+        // after one, and fill whole strings and map keys.
+        let json = r#"{"Δ×2": ["4×4 grid ≈ 1.5× t_ack", "\"Δ\"\\≈", "🦀\u0041🦀\n", "≈"]}"#;
+        let v: std::collections::BTreeMap<String, Vec<String>> = from_str(json).unwrap();
+        assert_eq!(
+            v["Δ×2"],
+            ["4×4 grid ≈ 1.5× t_ack", "\"Δ\"\\≈", "🦀A🦀\n", "≈"]
+        );
+        assert_eq!(
+            from_str::<String>(&to_string(&v["Δ×2"][1]).unwrap()).unwrap(),
+            "\"Δ\"\\≈"
+        );
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"Δ×2":["4×4 grid ≈ 1.5× t_ack","\"Δ\"\\≈","🦀A🦀\n","≈"]}"#
+        );
+        assert!(from_str::<String>("\"×\\u12").is_err(), "truncated escape");
+        assert!(from_str::<String>("\"≈🦀").is_err(), "unterminated string");
     }
 
     #[test]
