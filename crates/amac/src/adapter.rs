@@ -14,7 +14,7 @@ use bytes::Bytes;
 use local_broadcast::alg::LbProcess;
 use local_broadcast::config::{LbConfig, LbParams};
 use local_broadcast::msg::{LbInput, LbOutput, Payload};
-use radio_sim::engine::Engine;
+use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::Environment;
 use radio_sim::graph::NodeId;
 use radio_sim::process::ProcId;
@@ -80,27 +80,25 @@ impl LbMac {
         cfg: LbConfig,
         master_seed: u64,
     ) -> Self {
-        Self::with_recording(
-            topo,
-            scheduler,
-            cfg,
-            master_seed,
-            RecordingPolicy::stats_only(),
-        )
+        let config = topo
+            .configuration(scheduler)
+            .with_recording(RecordingPolicy::stats_only());
+        Self::from_configuration(config, cfg, master_seed)
     }
 
-    /// Like [`LbMac::new`], but the trace records what `recording` asks
-    /// for. The layer reads only output events, which every policy
-    /// records, so its behaviour does not depend on the policy.
-    pub fn with_recording(
-        topo: &radio_sim::topology::Topology,
-        scheduler: Box<dyn radio_sim::scheduler::LinkScheduler>,
-        cfg: LbConfig,
-        master_seed: u64,
-        recording: RecordingPolicy,
-    ) -> Self {
-        let n = topo.graph.len();
-        let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
+    /// Deploys `LBAlg(cfg)` on the engine `config` describes: its graph,
+    /// `r`, scheduler, faults, recording policy and telemetry. The layer
+    /// reads only output events, which every recording policy records,
+    /// so its behaviour does not depend on the policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` carries a geometry timeline: the layer's
+    /// bounds come from its one graph.
+    pub fn from_configuration(config: Configuration, cfg: LbConfig, master_seed: u64) -> Self {
+        assert!(config.timeline.is_none(), "LbMac runs on one static graph");
+        let n = config.graph.len();
+        let params = cfg.resolve(config.r, config.graph.delta(), config.graph.delta_prime());
         let shared = Arc::new(Mutex::new(SharedQueues {
             queues: vec![VecDeque::new(); n],
             busy: vec![false; n],
@@ -109,7 +107,6 @@ impl LbMac {
             shared: Arc::clone(&shared),
         };
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let config = topo.configuration(scheduler).with_recording(recording);
         let proc_ids = config.proc_ids.clone();
         let engine = Engine::new(config, procs, Box::new(bridge), master_seed);
         LbMac {
@@ -130,12 +127,6 @@ impl LbMac {
     /// The accumulated execution trace (for spec checking in tests).
     pub fn trace(&self) -> &local_broadcast::LbTrace {
         self.engine.trace()
-    }
-
-    /// Attaches (or detaches) telemetry on the engine behind the layer;
-    /// see [`radio_sim::engine::Engine::set_telemetry`].
-    pub fn set_telemetry(&mut self, enabled: bool) {
-        self.engine.set_telemetry(enabled);
     }
 
     /// Takes the engine's metrics (`None` unless telemetry is attached).

@@ -12,7 +12,7 @@ use local_broadcast::msg::{LbInput, LbMsg, Payload};
 use radio_sim::engine::Engine;
 use radio_sim::environment::ScriptedEnvironment;
 use radio_sim::graph::NodeId;
-use radio_sim::scheduler::{self, LinkScheduler, MaskedPump};
+use radio_sim::scheduler::{self, DutyCycleEdges, LinkScheduler};
 use radio_sim::topology::{self, Topology};
 use radio_sim::trace::RecordingPolicy;
 
@@ -133,7 +133,7 @@ pub fn e7_pump_separation(scale: Scale) -> Vec<Table> {
                 &topo,
                 reliable,
                 grey,
-                Box::new(MaskedPump::against_decay_with_threshold(log_delta, threshold)),
+                Box::new(DutyCycleEdges::against_decay_with_threshold(log_delta, threshold)),
                 decay_horizon,
                 s,
             )
@@ -156,7 +156,7 @@ pub fn e7_pump_separation(scale: Scale) -> Vec<Table> {
                 &topo,
                 reliable,
                 grey,
-                Box::new(MaskedPump::against_decay_with_threshold(log_delta, threshold)),
+                Box::new(DutyCycleEdges::against_decay_with_threshold(log_delta, threshold)),
                 &cfg,
                 lb_horizon,
                 s,

@@ -77,8 +77,8 @@ use scenario::search::{self, found_scenario, run_search, Objective, SearchSpec, 
 use scenario::spec::MAX_STOP_ROUNDS;
 use scenario::sweep::{self, SweepReport, SweepSpec};
 use scenario::{
-    registry, Campaign, GoldenMetrics, RunTelemetry, Scenario, ScenarioRunner, TransportSpec,
-    WorkloadSpec,
+    registry, Campaign, CampaignReport, GoldenMetrics, RunTelemetry, Scenario, ScenarioError,
+    ScenarioRunner, TransportSpec, WorkloadSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -103,21 +103,6 @@ fn usage() -> String {
      scenario journal <PATH>\n       \
      scenario audit <name | file.json> <trace.json>"
         .to_string()
-}
-
-/// Writes the JSONL run journal when `--telemetry PATH` was given.
-fn write_journal(
-    path: &Option<String>,
-    telem: &RunTelemetry,
-    mode: &str,
-    label: &str,
-) -> Result<(), String> {
-    if let Some(path) = path {
-        std::fs::write(path, telem.journal(mode, label))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote telemetry journal to {path}");
-    }
-    Ok(())
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -174,19 +159,76 @@ fn parse_count(args: &[String], flag: &str) -> Result<Option<usize>, String> {
     }
 }
 
-fn load(selector: &str) -> Result<Scenario, String> {
-    if let Some(s) = registry::find(selector) {
-        return Ok(s);
+/// Parses a mode's flags (see [`parse_positionals`]) and returns its
+/// one positional selector.
+fn parse_selector(args: &[String], valued: &[&str], boolean: &[&str]) -> Result<String, String> {
+    let mut positionals = parse_positionals(args, valued, boolean)?.into_iter();
+    match (positionals.next(), positionals.next()) {
+        (Some(one), None) => Ok(one),
+        (None, _) => Err(usage()),
+        (Some(_), Some(extra)) => Err(format!("unexpected extra argument {extra:?}\n{}", usage())),
+    }
+}
+
+/// Resolves `selector` as a registered `what` (`find`), else as a JSON
+/// file of one (`parse`).
+fn load<T>(
+    what: &str,
+    selector: &str,
+    find: impl FnOnce(&str) -> Option<T>,
+    parse: impl FnOnce(&str) -> Result<T, ScenarioError>,
+) -> Result<T, String> {
+    if let Some(found) = find(selector) {
+        return Ok(found);
     }
     if selector.ends_with(".json") || Path::new(selector).exists() {
         let data = std::fs::read_to_string(selector)
-            .map_err(|e| format!("cannot read scenario file {selector}: {e}"))?;
-        return Scenario::from_json(&data)
-            .map_err(|e| format!("scenario file {selector}: {e}"));
+            .map_err(|e| format!("cannot read {what} file {selector}: {e}"))?;
+        return parse(&data).map_err(|e| format!("{what} file {selector}: {e}"));
     }
     Err(format!(
-        "unknown scenario {selector:?}: not a registry name (see --list) and no such file"
+        "unknown {what} {selector:?}: not a registered name (see --list) and no such file"
     ))
+}
+
+/// Runs `campaign` under a live stderr heartbeat labelled `label`, then
+/// writes the `--telemetry` journal of the `mode` run over `subject`.
+/// Telemetry only observes, so the report is a plain run's.
+fn run_observed(
+    campaign: &Campaign,
+    args: &[String],
+    label: &str,
+    mode: &str,
+    subject: &str,
+) -> Result<(CampaignReport, RunTelemetry), String> {
+    let total: usize = campaign.scenarios().map(|s| s.trials).sum();
+    let start = std::time::Instant::now();
+    let hb = Heartbeat::new(label, campaign.scenarios().count() as u64, total as u64);
+    let (report, telem) = campaign.run_observed(Some(&hb));
+    hb.finish();
+    eprintln!("   ({:.1?})", start.elapsed());
+    if let Some(path) = arg_value(args, "--telemetry") {
+        std::fs::write(&path, telem.journal(mode, subject))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote telemetry journal to {path}");
+    }
+    Ok((report, telem))
+}
+
+/// Writes `markdown()` to `--out` with the run's perf footer appended.
+/// The footer carries wall-clock numbers, so it is added at write time
+/// only and the report itself stays byte-deterministic.
+fn write_report(
+    args: &[String],
+    markdown: impl FnOnce() -> String,
+    telem: &RunTelemetry,
+) -> Result<(), String> {
+    if let Some(path) = arg_value(args, "--out") {
+        std::fs::write(&path, markdown() + &telem.footer())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote report to {path}");
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -194,22 +236,14 @@ fn load(selector: &str) -> Result<Scenario, String> {
 // ---------------------------------------------------------------------
 
 fn run_single(args: &[String]) -> Result<ExitCode, String> {
-    let positionals = parse_positionals(
+    let selector = parse_selector(
         args,
         &[
             "--trials", "--seed", "--transport", "--save-trace", "--export", "--telemetry",
         ],
         &[],
     )?;
-    let selector = match positionals.as_slice() {
-        [one] => one,
-        [] => return Err(usage()),
-        [_, extra, ..] => {
-            return Err(format!("unexpected extra argument {extra:?}\n{}", usage()))
-        }
-    };
-
-    let mut scenario = load(selector)?;
+    let mut scenario = load("scenario", &selector, registry::find, Scenario::from_json)?;
     if let Some(trials) = parse_count(args, "--trials")? {
         scenario.trials = trials;
     }
@@ -259,25 +293,14 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Every single run is a one-scenario observed campaign: it drives
-    // the heartbeat and fills the telemetry, and its report is identical
-    // to a plain run's, since telemetry only observes.
-    let start = std::time::Instant::now();
+    // the heartbeat and fills the telemetry.
     let campaign = Campaign::new(vec![s.clone()]).map_err(|e| e.to_string())?;
-    let hb = Heartbeat::new(&s.name, 1, s.trials as u64);
-    let (creport, telem) = campaign.run_observed(Some(&hb));
-    hb.finish();
+    let (creport, _) = run_observed(&campaign, args, &s.name, "single", &s.name)?;
     let report = creport
         .reports
         .into_iter()
         .next()
         .expect("one-scenario campaign yields one report");
-    write_journal(
-        &arg_value(args, "--telemetry"),
-        &telem,
-        "single",
-        &report.scenario.name,
-    )?;
-    eprintln!("   ({} trial(s), {:.1?})", report.outcomes.len(), start.elapsed());
     for table in report.tables() {
         println!("{table}");
     }
@@ -290,6 +313,104 @@ fn run_single(args: &[String]) -> Result<ExitCode, String> {
         println!("saved trial-0 trace ({} bytes) to {path}", json.len());
     }
     Ok(ExitCode::SUCCESS)
+}
+
+// ---------------------------------------------------------------------
+// The golden gate of campaign and sweep mode
+// ---------------------------------------------------------------------
+
+/// What `--check` / `--bless` ask of a campaign or sweep run.
+enum Gate {
+    /// Neither flag: the run is only reported.
+    Off,
+    /// Diff the run against the blessed files in the directory.
+    Check(PathBuf),
+    /// Write one golden file per scenario into the directory.
+    Bless(PathBuf),
+}
+
+impl Gate {
+    /// Reads `--check`, `--bless` and `--golden DIR`. A golden file pins
+    /// means over the registered trial count, so neither gate takes an
+    /// overridden `trials`: blessing one would poison every later check,
+    /// and checking with one would only manufacture config-drift rows.
+    fn parse(args: &[String], trials: Option<usize>) -> Result<Gate, String> {
+        let check = args.iter().any(|a| a == "--check");
+        let bless = args.iter().any(|a| a == "--bless");
+        if check && bless {
+            return Err(format!("--check and --bless are mutually exclusive\n{}", usage()));
+        }
+        if (check || bless) && trials.is_some() {
+            return Err(format!(
+                "--{} does not take --trials (goldens pin the registered trial counts)",
+                if bless { "bless" } else { "check" }
+            ));
+        }
+        let dir =
+            PathBuf::from(arg_value(args, "--golden").unwrap_or_else(|| GOLDEN_DIR.to_string()));
+        Ok(if check {
+            Gate::Check(dir)
+        } else if bless {
+            Gate::Bless(dir)
+        } else {
+            Gate::Off
+        })
+    }
+
+    /// Blesses or checks `report`. A check prints the pass/fail table,
+    /// reports a missing golden file as a failing `golden file` row, and
+    /// exits 1 on any drift.
+    fn apply(&self, report: &CampaignReport) -> Result<ExitCode, String> {
+        let golden_path = |dir: &Path, scenario: &str| dir.join(format!("{scenario}.json"));
+        match self {
+            Gate::Off => Ok(ExitCode::SUCCESS),
+            Gate::Bless(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+                for golden in report.golden() {
+                    let path = golden_path(dir, &golden.scenario);
+                    std::fs::write(&path, golden.to_json())
+                        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                    eprintln!("blessed {}", path.display());
+                }
+                Ok(ExitCode::SUCCESS)
+            }
+            Gate::Check(dir) => {
+                // Load golden files only for the scenarios this run
+                // measured, so pinned subsets check cleanly against a
+                // full golden directory.
+                let mut golden = Vec::new();
+                for r in &report.reports {
+                    let path = golden_path(dir, &r.scenario.name);
+                    match std::fs::read_to_string(&path) {
+                        Ok(data) => golden.push(
+                            GoldenMetrics::from_json(&data)
+                                .map_err(|e| format!("{}: {e}", path.display()))?,
+                        ),
+                        // Missing file: leave no entry; the check reports
+                        // it as a failing `golden file` row.
+                        Err(_) => eprintln!(
+                            "no golden metrics at {} (bless with --bless)",
+                            path.display()
+                        ),
+                    }
+                }
+                let check = report.check(&golden);
+                println!("{}", check.table());
+                if check.passed() {
+                    eprintln!("golden check passed: {} comparison(s) ok", check.rows.len());
+                    Ok(ExitCode::SUCCESS)
+                } else {
+                    eprintln!(
+                        "golden check FAILED: {} of {} comparison(s) drifted",
+                        check.failures().count(),
+                        check.rows.len()
+                    );
+                    Ok(ExitCode::from(1))
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -332,90 +453,14 @@ fn campaign_scenarios(selectors: &[String]) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
-fn golden_path(dir: &Path, scenario: &str) -> PathBuf {
-    dir.join(format!("{scenario}.json"))
-}
-
-/// Writes one golden file per scenario of `report` into `golden_dir`.
-fn bless_goldens(
-    report: &scenario::CampaignReport,
-    golden_dir: &Path,
-) -> Result<(), String> {
-    std::fs::create_dir_all(golden_dir)
-        .map_err(|e| format!("cannot create {}: {e}", golden_dir.display()))?;
-    for golden in report.golden() {
-        let path = golden_path(golden_dir, &golden.scenario);
-        std::fs::write(&path, golden.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("blessed {}", path.display());
-    }
-    Ok(())
-}
-
-/// Diffs `report` against the blessed files in `golden_dir`, printing
-/// the pass/fail table. Missing files surface as failing `golden file`
-/// rows. Returns exit code 1 on any drift.
-fn check_goldens(
-    report: &scenario::CampaignReport,
-    golden_dir: &Path,
-) -> Result<ExitCode, String> {
-    // Load golden files only for the scenarios this run measured, so
-    // pinned subsets check cleanly against a full golden directory.
-    let mut golden = Vec::new();
-    for r in &report.reports {
-        let path = golden_path(golden_dir, &r.scenario.name);
-        match std::fs::read_to_string(&path) {
-            Ok(data) => golden.push(
-                GoldenMetrics::from_json(&data).map_err(|e| format!("{}: {e}", path.display()))?,
-            ),
-            // Missing file: leave no entry; the check reports it as a
-            // failing `golden file` row with the path in hand.
-            Err(_) => eprintln!(
-                "no golden metrics at {} (bless with --bless)",
-                path.display()
-            ),
-        }
-    }
-    let check = report.check(&golden);
-    println!("{}", check.table());
-    if check.passed() {
-        eprintln!("golden check passed: {} comparison(s) ok", check.rows.len());
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!(
-            "golden check FAILED: {} of {} comparison(s) drifted",
-            check.failures().count(),
-            check.rows.len()
-        );
-        Ok(ExitCode::from(1))
-    }
-}
-
 fn run_campaign(args: &[String]) -> Result<ExitCode, String> {
     let selectors = parse_positionals(
         args,
         &["--trials", "--threads", "--golden", "--out", "--telemetry"],
         &["--check", "--bless"],
     )?;
-    let check = args.iter().any(|a| a == "--check");
-    let bless = args.iter().any(|a| a == "--bless");
-    if check && bless {
-        return Err(format!("--check and --bless are mutually exclusive\n{}", usage()));
-    }
     let trials = parse_count(args, "--trials")?;
-    if (bless || check) && trials.is_some() {
-        // A golden file pins means over the *registry* trial count:
-        // blessing an overridden count would poison every later check,
-        // and checking with one would only manufacture config-drift
-        // rows. Reject the combination upfront instead.
-        return Err(format!(
-            "--{} does not take --trials (goldens pin the registry trial counts)",
-            if bless { "bless" } else { "check" }
-        ));
-    }
-    let golden_dir = PathBuf::from(
-        arg_value(args, "--golden").unwrap_or_else(|| GOLDEN_DIR.to_string()),
-    );
+    let gate = Gate::parse(args, trials)?;
     let threads = parse_count(args, "--threads")?;
 
     let mut scenarios = campaign_scenarios(&selectors)?;
@@ -435,86 +480,29 @@ fn run_campaign(args: &[String]) -> Result<ExitCode, String> {
         "== campaign: {} scenario(s), {total} trial(s) ==",
         names.len()
     );
-    let start = std::time::Instant::now();
-    let hb = Heartbeat::new("campaign", names.len() as u64, total as u64);
-    let (report, telem) = campaign.run_observed(Some(&hb));
-    hb.finish();
-    eprintln!("   ({:.1?})", start.elapsed());
+    let (report, telem) = run_observed(&campaign, args, "campaign", "campaign", &names.join(" "))?;
     println!("{}", report.overview());
-    write_journal(&arg_value(args, "--telemetry"), &telem, "campaign", &names.join(" "))?;
-
-    if let Some(path) = arg_value(args, "--out") {
-        // The footer carries wall-clock numbers, so it is appended at
-        // write time only — to_markdown stays byte-deterministic.
-        let doc = format!("{}{}", report.to_markdown(), telem.footer());
-        std::fs::write(&path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote combined report to {path}");
-    }
-
-    if bless {
-        bless_goldens(&report, &golden_dir)?;
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if check {
-        return check_goldens(&report, &golden_dir);
-    }
-    Ok(ExitCode::SUCCESS)
+    write_report(args, || report.to_markdown(), &telem)?;
+    gate.apply(&report)
 }
 
 // ---------------------------------------------------------------------
 // Sweep mode
 // ---------------------------------------------------------------------
 
-fn load_sweep(selector: &str) -> Result<SweepSpec, String> {
-    if let Some(s) = sweep::find_sweep(selector) {
-        return Ok(s);
-    }
-    if selector.ends_with(".json") || Path::new(selector).exists() {
-        let data = std::fs::read_to_string(selector)
-            .map_err(|e| format!("cannot read sweep file {selector}: {e}"))?;
-        return SweepSpec::from_json(&data).map_err(|e| format!("sweep file {selector}: {e}"));
-    }
-    Err(format!(
-        "unknown sweep {selector:?}: not a sweep-registry name (see --list) and no such file"
-    ))
-}
-
 fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
-    let positionals = parse_positionals(
+    let selector = parse_selector(
         args,
         &[
             "--trials", "--threads", "--golden", "--out", "--csv", "--export", "--telemetry",
         ],
         &["--check", "--bless", "--plot"],
     )?;
-    let selector = match positionals.as_slice() {
-        [one] => one,
-        [] => return Err(usage()),
-        [_, extra, ..] => {
-            return Err(format!("unexpected extra argument {extra:?}\n{}", usage()))
-        }
-    };
-    let check = args.iter().any(|a| a == "--check");
-    let bless = args.iter().any(|a| a == "--bless");
-    if check && bless {
-        return Err(format!("--check and --bless are mutually exclusive\n{}", usage()));
-    }
     let trials = parse_count(args, "--trials")?;
-    if (bless || check) && trials.is_some() {
-        // Same rule as campaign mode: per-point golden files pin the
-        // sweep's registered trial count.
-        return Err(format!(
-            "--{} does not take --trials (goldens pin the sweep trial counts)",
-            if bless { "bless" } else { "check" }
-        ));
-    }
-    let golden_dir = PathBuf::from(
-        arg_value(args, "--golden").unwrap_or_else(|| GOLDEN_DIR.to_string()),
-    );
+    let gate = Gate::parse(args, trials)?;
     let threads = parse_count(args, "--threads")?;
 
-    let mut spec = load_sweep(selector)?;
+    let mut spec = load("sweep", &selector, sweep::find_sweep, SweepSpec::from_json)?;
     if let Some(t) = trials {
         spec.trials = Some(t);
     }
@@ -529,7 +517,10 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
 
     // --check/--bless gate exactly the pinned subset; a plain run
     // measures the whole grid.
-    let grid = if check || bless { full.pinned() } else { full };
+    let grid = match gate {
+        Gate::Off => full,
+        Gate::Check(_) | Gate::Bless(_) => full.pinned(),
+    };
     let mut campaign = grid.campaign().map_err(|e| e.to_string())?;
     if let Some(t) = threads {
         campaign = campaign.threads(t);
@@ -549,12 +540,7 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
     if !spec.description.is_empty() {
         eprintln!("   {}", spec.description);
     }
-    let start = std::time::Instant::now();
-    let hb = Heartbeat::new(&spec.name, grid.len() as u64, total as u64);
-    let (report, telem) = campaign.run_observed(Some(&hb));
-    hb.finish();
-    eprintln!("   ({:.1?})", start.elapsed());
-    write_journal(&arg_value(args, "--telemetry"), &telem, "sweep", &spec.name)?;
+    let (report, telem) = run_observed(&campaign, args, &spec.name, "sweep", &spec.name)?;
 
     let sweep_report = SweepReport::new(&grid, &report);
     println!("{}", sweep_report.long_table());
@@ -564,48 +550,21 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--plot") {
         println!("{}", sweep_report.ascii_charts());
     }
-    if let Some(path) = arg_value(args, "--out") {
-        // Footer at write time only, as in campaign mode.
-        let doc = format!("{}{}", sweep_report.to_markdown(), telem.footer());
-        std::fs::write(&path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote sweep report to {path}");
-    }
+    write_report(args, || sweep_report.to_markdown(), &telem)?;
     if let Some(path) = arg_value(args, "--csv") {
         std::fs::write(&path, sweep_report.to_csv())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote sweep CSV to {path}");
     }
-
-    if bless {
-        bless_goldens(&report, &golden_dir)?;
-        return Ok(ExitCode::SUCCESS);
-    }
-    if check {
-        return check_goldens(&report, &golden_dir);
-    }
-    Ok(ExitCode::SUCCESS)
+    gate.apply(&report)
 }
 
 // ---------------------------------------------------------------------
 // Search mode
 // ---------------------------------------------------------------------
 
-fn load_search(selector: &str) -> Result<SearchSpec, String> {
-    if let Some(s) = search::find_preset(selector) {
-        return Ok(s);
-    }
-    if selector.ends_with(".json") || Path::new(selector).exists() {
-        let data = std::fs::read_to_string(selector)
-            .map_err(|e| format!("cannot read search file {selector}: {e}"))?;
-        return SearchSpec::from_json(&data).map_err(|e| format!("search file {selector}: {e}"));
-    }
-    Err(format!(
-        "unknown search {selector:?}: not a search preset (see --list) and no such file"
-    ))
-}
-
 fn run_search_mode(args: &[String]) -> Result<ExitCode, String> {
-    let positionals = parse_positionals(
+    let selector = parse_selector(
         args,
         &[
             "--budget", "--seed", "--objective", "--strategy", "--trials", "--out", "--top",
@@ -613,15 +572,7 @@ fn run_search_mode(args: &[String]) -> Result<ExitCode, String> {
         ],
         &[],
     )?;
-    let selector = match positionals.as_slice() {
-        [one] => one,
-        [] => return Err(usage()),
-        [_, extra, ..] => {
-            return Err(format!("unexpected extra argument {extra:?}\n{}", usage()))
-        }
-    };
-
-    let mut spec = load_search(selector)?;
+    let mut spec = load("search", &selector, search::find_preset, SearchSpec::from_json)?;
     if let Some(b) = parse_count(args, "--budget")? {
         spec.budget = b;
     }
@@ -802,7 +753,7 @@ fn run_audit(args: &[String]) -> Result<ExitCode, String> {
     let [selector, path] = args else {
         return Err(format!("audit takes a scenario and a trace file\n{}", usage()));
     };
-    let scenario = load(selector)?;
+    let scenario = load("scenario", selector, registry::find, Scenario::from_json)?;
     let WorkloadSpec::LocalBroadcast { epsilon1, .. } = scenario.workload else {
         return Err(format!(
             "audit: scenario {} runs the {} workload; only local-broadcast (LBAlg) \

@@ -13,7 +13,11 @@
 //! adversaries the paper's discussion singles out (notably the
 //! contention-pumping schedule "constructed with the intent of thwarting"
 //! fixed probability schedules, Section 1), plus a family of structural and
-//! randomized schedules for coverage.
+//! randomized schedules for coverage. The contention pump is a duty
+//! cycle — every unreliable edge for the first `on` rounds of each
+//! `cycle`, none for the rest — and [`DutyCycleEdges`] is its one
+//! implementation: `alternating`, `against_decay` and
+//! `against_decay_with_threshold` only choose `cycle` and `on`.
 //!
 //! The [`AdaptiveScheduler`] trait models the *stronger* adversary of the
 //! authors' earlier work ([11]): it observes the current round's transmit
@@ -194,145 +198,84 @@ impl LinkScheduler for BernoulliEdges {
     }
 }
 
-/// Alternates between `G'` and `G` with a fixed period: all extra edges
-/// for `high` rounds, then none for `low` rounds, repeating.
-#[derive(Debug, Clone, Copy)]
-pub struct AlternatingEdges {
-    /// Rounds per cycle with all extra edges present.
-    pub high: u64,
-    /// Rounds per cycle with no extra edges present.
-    pub low: u64,
-}
-
-impl AlternatingEdges {
-    /// Creates the alternating scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both `high` and `low` are zero.
-    pub fn new(high: u64, low: u64) -> Self {
-        assert!(high + low > 0, "cycle must be non-empty");
-        AlternatingEdges { high, low }
-    }
-}
-
-impl LinkScheduler for AlternatingEdges {
-    fn extra_edges(&mut self, round: u64, _graph: &DualGraph) -> EdgeSelection {
-        let pos = (round - 1) % (self.high + self.low);
-        if pos < self.high {
-            EdgeSelection::All
-        } else {
-            EdgeSelection::None
-        }
-    }
-    fn name(&self) -> &'static str {
-        "alternating"
-    }
-}
-
-/// The contention pump of Section 1's discussion: an oblivious schedule
-/// built to defeat *fixed* geometrically decreasing probability schedules
-/// (Decay-style baselines).
+/// A duty cycle over `G'` and `G`: round `t` gets every unreliable edge
+/// iff `(t − 1) mod cycle < on`, and none otherwise.
 ///
-/// Such baselines cycle deterministically through broadcast probabilities
+/// This is the shape of the contention pump of Section 1's discussion,
+/// an oblivious schedule built to defeat *fixed* geometrically
+/// decreasing probability schedules (Decay-style baselines). Such
+/// baselines cycle deterministically through broadcast probabilities
 /// `1/2, 1/4, …, 1/Δ` as a function of the round number alone — so an
-/// oblivious scheduler, knowing the cycle, can include **many** unreliable
-/// edges exactly when the broadcast probability is high (flooding each
-/// receiver with colliding grey-zone senders) and **exclude** them when
-/// the probability is low (leaving so few potential senders that silence
-/// dominates). The "right" probability for the realized contention never
-/// coincides with the schedule.
+/// oblivious scheduler, knowing the cycle, can include **many**
+/// unreliable edges exactly when the broadcast probability is high
+/// (flooding each receiver with colliding grey-zone senders) and
+/// **exclude** them when the probability is low (leaving so few
+/// potential senders that silence dominates). The Decay ladder only
+/// falls, so the pumped rungs are always a prefix of the cycle.
 #[derive(Debug, Clone, Copy)]
-pub struct ContentionPump {
-    /// Length of the baseline's probability cycle (`log₂ Δ` for Decay).
-    pub cycle: u64,
-    /// Positions `< knee` in the cycle (high-probability rounds) get all
-    /// extra edges; the rest get none.
-    pub knee: u64,
-    /// Offset aligning the pump with the baseline's cycle start.
-    pub phase: u64,
+pub struct DutyCycleEdges {
+    /// Rounds per period (at least 1).
+    cycle: u64,
+    /// Leading rounds of each period with all extra edges present.
+    on: u64,
+    /// The constructor's table name.
+    name: &'static str,
 }
 
-impl ContentionPump {
-    /// Builds a pump against a Decay baseline with `log₂ Δ = cycle`
-    /// probability steps: contention is pumped during the first half of
-    /// each cycle (probabilities ≥ `1/2^{cycle/2}`).
-    pub fn against_decay(cycle: u64) -> Self {
-        assert!(cycle > 0, "cycle must be positive");
-        ContentionPump {
-            cycle,
-            knee: cycle.div_ceil(2),
-            phase: 0,
-        }
+impl DutyCycleEdges {
+    fn new(cycle: u64, on: u64, name: &'static str) -> Self {
+        assert!(cycle > 0, "cycle must be non-empty");
+        DutyCycleEdges { cycle, on, name }
     }
-}
 
-impl LinkScheduler for ContentionPump {
-    fn extra_edges(&mut self, round: u64, _graph: &DualGraph) -> EdgeSelection {
-        let pos = (round - 1 + self.phase) % self.cycle;
-        if pos < self.knee {
-            EdgeSelection::All
-        } else {
-            EdgeSelection::None
-        }
-    }
-    fn name(&self) -> &'static str {
-        "contention-pump"
-    }
-}
-
-/// A pump with an explicit per-cycle-position mask: position `i` of each
-/// cycle includes all extra edges iff `mask[i]`. This is the fully
-/// general fixed-cycle oblivious pump; [`ContentionPump`] is the
-/// half-cycle special case. Experiment E7 builds the mask from a Decay
-/// baseline's probability ladder and a contention threshold.
-#[derive(Debug, Clone)]
-pub struct MaskedPump {
-    mask: Vec<bool>,
-}
-
-impl MaskedPump {
-    /// Creates a pump from its per-position inclusion mask.
+    /// All extra edges for `high` rounds, then none for `low` rounds,
+    /// repeating.
     ///
     /// # Panics
     ///
-    /// Panics on an empty mask.
-    pub fn new(mask: Vec<bool>) -> Self {
-        assert!(!mask.is_empty(), "pump cycle must be non-empty");
-        MaskedPump { mask }
+    /// Panics if both `high` and `low` are zero, or their sum overflows.
+    pub fn alternating(high: u64, low: u64) -> Self {
+        let cycle = high.checked_add(low).expect("high + low overflows u64");
+        DutyCycleEdges::new(cycle, high, "alternating")
     }
 
-    /// Builds the anti-Decay pump: for a Decay cycle of `log₂ Δ̂` rungs
-    /// with probabilities `2^{-1}, …, 2^{-log Δ̂}`, include all extra
-    /// edges exactly on the rungs whose probability exceeds
-    /// `threshold` — flooding the receiver with grey-zone colliders when
-    /// the baseline transmits aggressively, and starving it when the
-    /// baseline's probability is too small for its reliable senders to
-    /// break through.
+    /// The pump against a Decay baseline with `log₂ Δ = cycle`
+    /// probability steps: contention is pumped during the first half of
+    /// each cycle (probabilities ≥ `1/2^{⌈cycle/2⌉}`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cycle == 0`.
+    pub fn against_decay(cycle: u64) -> Self {
+        DutyCycleEdges::new(cycle, cycle.div_ceil(2), "contention-pump")
+    }
+
+    /// The anti-Decay pump: for a Decay cycle of `log₂ Δ̂` rungs with
+    /// probabilities `2^{-1}, …, 2^{-log Δ̂}`, include all extra edges
+    /// exactly on the rungs whose probability exceeds `threshold` —
+    /// flooding the receiver with grey-zone colliders when the baseline
+    /// transmits aggressively, and starving it when the baseline's
+    /// probability is too small for its reliable senders to break
+    /// through. A `log_delta` of 0 counts as one rung.
     pub fn against_decay_with_threshold(log_delta: u32, threshold: f64) -> Self {
-        let mask = (1..=log_delta.max(1))
-            .map(|i| 2f64.powi(-(i as i32)) > threshold)
-            .collect();
-        MaskedPump::new(mask)
-    }
-
-    /// The inclusion mask (cycle positions in order).
-    pub fn mask(&self) -> &[bool] {
-        &self.mask
+        let rungs = log_delta.max(1);
+        let on = (1..=rungs)
+            .take_while(|&i| 2f64.powi(-(i as i32)) > threshold)
+            .count();
+        DutyCycleEdges::new(u64::from(rungs), on as u64, "masked-pump")
     }
 }
 
-impl LinkScheduler for MaskedPump {
+impl LinkScheduler for DutyCycleEdges {
     fn extra_edges(&mut self, round: u64, _graph: &DualGraph) -> EdgeSelection {
-        let pos = ((round - 1) % self.mask.len() as u64) as usize;
-        if self.mask[pos] {
+        if (round - 1) % self.cycle < self.on {
             EdgeSelection::All
         } else {
             EdgeSelection::None
         }
     }
     fn name(&self) -> &'static str {
-        "masked-pump"
+        self.name
     }
 }
 
@@ -484,8 +427,8 @@ pub fn oblivious_family(seed: u64) -> Vec<Box<dyn LinkScheduler>> {
         Box::new(NoExtraEdges),
         Box::new(BernoulliEdges::new(0.5, seed)),
         Box::new(BernoulliEdges::new(0.1, seed ^ 0xD1CE)),
-        Box::new(AlternatingEdges::new(3, 5)),
-        Box::new(ContentionPump::against_decay(8)),
+        Box::new(DutyCycleEdges::alternating(3, 5)),
+        Box::new(DutyCycleEdges::against_decay(8)),
         Box::new(StripedEdges::new(4)),
         Box::new(RoundRobinEdges::new(3)),
         Box::new(EpochRandomEdges::new(16, 0.5, seed ^ 0xEB0C)),
@@ -601,7 +544,7 @@ mod tests {
     #[test]
     fn alternating_cycles() {
         let g = grey_triangle();
-        let mut s = AlternatingEdges::new(2, 1);
+        let mut s = DutyCycleEdges::alternating(2, 1);
         assert_eq!(s.extra_edges(1, &g), EdgeSelection::All);
         assert_eq!(s.extra_edges(2, &g), EdgeSelection::All);
         assert_eq!(s.extra_edges(3, &g), EdgeSelection::None);
@@ -611,8 +554,8 @@ mod tests {
     #[test]
     fn pump_tracks_decay_cycle() {
         let g = grey_triangle();
-        let mut s = ContentionPump::against_decay(4);
-        // knee = 2: rounds 1,2 high; 3,4 low; then repeat.
+        let mut s = DutyCycleEdges::against_decay(4);
+        // on = 2: rounds 1,2 high; 3,4 low; then repeat.
         assert_eq!(s.extra_edges(1, &g), EdgeSelection::All);
         assert_eq!(s.extra_edges(2, &g), EdgeSelection::All);
         assert_eq!(s.extra_edges(3, &g), EdgeSelection::None);
@@ -623,7 +566,7 @@ mod tests {
     #[test]
     fn masked_pump_follows_mask() {
         let g = grey_triangle();
-        let mut s = MaskedPump::new(vec![true, false, false]);
+        let mut s = DutyCycleEdges::new(3, 1, "masked-pump");
         assert_eq!(s.extra_edges(1, &g), EdgeSelection::All);
         assert_eq!(s.extra_edges(2, &g), EdgeSelection::None);
         assert_eq!(s.extra_edges(3, &g), EdgeSelection::None);
@@ -634,8 +577,8 @@ mod tests {
     fn anti_decay_mask_tracks_threshold() {
         // log_delta = 4: probs 1/2, 1/4, 1/8, 1/16; threshold 1/8 keeps
         // the first two rungs pumped.
-        let s = MaskedPump::against_decay_with_threshold(4, 0.125);
-        assert_eq!(s.mask(), &[true, true, false, false]);
+        let s = DutyCycleEdges::against_decay_with_threshold(4, 0.125);
+        assert_eq!((s.cycle, s.on), (4, 2));
     }
 
     #[test]

@@ -314,6 +314,19 @@ impl Default for RggParams {
 }
 
 impl RggParams {
+    /// The deployment [`constant_density`] builds: every grey-zone pair
+    /// unreliable, in a square of [`constant_density_side`].
+    pub fn constant_density(n: usize, density: f64, r: f64, seed: u64) -> Self {
+        RggParams {
+            n,
+            side: constant_density_side(n, density),
+            r,
+            grey_reliable_p: 0.0,
+            grey_unreliable_p: 1.0,
+            seed,
+        }
+    }
+
     /// Checks the parameters up front, instead of panicking deep inside
     /// placement/wiring (`gen_bool` aborts on probabilities outside
     /// `[0, 1]`) or silently producing a degenerate graph (`n = 0`,
@@ -596,15 +609,7 @@ pub fn two_tier(core: usize, periphery: usize, ring_radius: f64, r: f64) -> Topo
 /// whose area grows with `n`. Local quantities (Δ, per-neighborhood
 /// behavior) stay flat as `n` grows.
 pub fn constant_density(n: usize, density: f64, r: f64, seed: u64) -> Topology {
-    let side = constant_density_side(n, density);
-    random_geometric(RggParams {
-        n,
-        side,
-        r,
-        grey_reliable_p: 0.0,
-        grey_unreliable_p: 1.0,
-        seed,
-    })
+    random_geometric(RggParams::constant_density(n, density, r, seed))
 }
 
 /// The arena side length [`constant_density`] deploys `n` nodes into at

@@ -33,7 +33,7 @@ use radio_sim::process::Process;
 use radio_sim::geometry::Embedding;
 use radio_sim::scheduler;
 use radio_sim::timeline::GraphTimeline;
-use radio_sim::topology::{self, RggParams, Topology};
+use radio_sim::topology::{self, Topology};
 use radio_sim::trace::{EventKind, RecordingPolicy, RoundStats, Trace};
 use seed_agreement::alg::SeedProcess;
 use seed_agreement::{spec as seed_spec, SeedConfig};
@@ -345,33 +345,40 @@ impl ScenarioRunner {
             Some((topo, m)) => (Arc::new(topo), Some(m)),
             None => (shared_topology(&scenario.topology), None),
         };
-        let epochs: Vec<(u64, &Embedding)> = match &mobility {
+        // An O(1) clone: the runner, its topology and every trial engine
+        // share one adjacency build.
+        let graph = Arc::new(topo.graph.clone());
+        let mut runner = ScenarioRunner {
+            scenario,
+            topo,
+            graph,
+            faults: FaultPlan::none(),
+            mobility,
+        };
+        runner.faults = runner.scenario.faults.resolve(&runner.epochs())?;
+        Ok(runner)
+    }
+
+    /// Each geometry epoch's first round and embedding, the frames fault
+    /// regions resolve against: one epoch from round 1 when the scenario
+    /// is static.
+    pub(crate) fn epochs(&self) -> Vec<(u64, &Embedding)> {
+        match &self.mobility {
             Some(m) => m
                 .embeddings
                 .iter()
                 .enumerate()
                 .map(|(e, emb)| (m.timeline.epoch_start(e), &**emb))
                 .collect(),
-            None => vec![(1, &topo.embedding)],
-        };
-        let faults = scenario.faults.resolve(&epochs)?;
-        // An O(1) clone: the runner, its topology and every trial engine
-        // share one adjacency build.
-        let graph = Arc::new(topo.graph.clone());
-        Ok(ScenarioRunner {
-            scenario,
-            topo,
-            graph,
-            faults,
-            mobility,
-        })
+            None => vec![(1, &self.topo.embedding)],
+        }
     }
 
     /// Builds the epoch timeline for a mobility scenario, with the
     /// deployment it starts from (`None` when the scenario is static).
-    /// Epoch 0 is built exactly as `TopologySpec::build` would build the
-    /// deployment, so the deployment shares epoch 0's graph instead of
-    /// being built a second time.
+    /// Epoch 0 deploys from the same [`TopologySpec::arena`] as
+    /// `TopologySpec::build`, so the deployment shares epoch 0's graph
+    /// instead of being built a second time.
     fn build_mobility(
         scenario: &Scenario,
     ) -> Result<Option<(Topology, MobilityState)>, ScenarioError> {
@@ -382,34 +389,10 @@ impl ScenarioRunner {
             .stop
             .horizon_rounds()
             .expect("validation requires an explicit horizon for mobility");
-        let params = match scenario.topology {
-            TopologySpec::RandomGeometric {
-                n,
-                side,
-                r,
-                grey_reliable_p,
-                grey_unreliable_p,
-                seed,
-            } => RggParams {
-                n,
-                side,
-                r,
-                grey_reliable_p,
-                grey_unreliable_p,
-                seed,
-            },
-            // Mirrors `topology::constant_density`, so epoch 0 equals the
-            // static deployment byte-for-byte.
-            TopologySpec::ConstantDensity { n, density, r, seed } => RggParams {
-                n,
-                side: topology::constant_density_side(n, density),
-                r,
-                grey_reliable_p: 0.0,
-                grey_unreliable_p: 1.0,
-                seed,
-            },
-            _ => unreachable!("validation restricts mobility to the arena families"),
-        };
+        let params = scenario
+            .topology
+            .arena()
+            .expect("validation restricts mobility to the arena families");
         let epochs = topology::random_geometric_timeline(
             params,
             m.speed,
@@ -535,25 +518,6 @@ impl ScenarioRunner {
             .expect("trace requested")
     }
 
-    /// The recording policy a trial actually needs: metric trials keep
-    /// aggregate channel stats only (inputs and outputs are always
-    /// recorded, which is all the spec predicates and summary metrics
-    /// read); the full per-event trace — every transmit marker and
-    /// cloned message — is recorded only when the caller asked for the
-    /// trace JSON.
-    fn recording_for(want_trace: bool) -> RecordingPolicy {
-        if want_trace {
-            RecordingPolicy::full()
-        } else {
-            RecordingPolicy::stats_only()
-        }
-    }
-
-    fn configuration(&self, master_seed: u64, probe: Probe) -> Configuration {
-        self.base_configuration(master_seed, Self::recording_for(probe.trace))
-            .with_telemetry(probe.telemetry)
-    }
-
     /// Runs one trial on the engine, over the channel the scenario's
     /// transport calls for — the simulator's, or the mock network's,
     /// whose static link set comes from the adversary (`AllExtraEdges` →
@@ -608,7 +572,15 @@ impl ScenarioRunner {
         }
     }
 
-    fn base_configuration(&self, master_seed: u64, recording: RecordingPolicy) -> Configuration {
+    /// The engine configuration of one trial, which every workload's
+    /// engine is built from: the shared graph, the trial's scheduler,
+    /// `r`, the compiled fault plan and the epoch timeline. Metric trials
+    /// record aggregate channel stats only (inputs and outputs are
+    /// always recorded, which is all the spec predicates and summary
+    /// metrics read); the full per-event trace — every transmit marker
+    /// and cloned message — is recorded only when `probe` asks for the
+    /// trace JSON, and telemetry only when it asks for telemetry.
+    fn configuration(&self, master_seed: u64, probe: Probe) -> Configuration {
         // All trials share one `Arc`d graph; only the scheduler and
         // fault plan are per-trial values.
         let config = match self.scenario.adversary.build_oblivious(master_seed) {
@@ -624,10 +596,16 @@ impl ScenarioRunner {
                     .expect("non-oblivious spec is adaptive"),
             ),
         };
+        let recording = if probe.trace {
+            RecordingPolicy::full()
+        } else {
+            RecordingPolicy::stats_only()
+        };
         let config = config
             .with_r(self.topo.r)
             .with_recording(recording)
-            .with_faults(self.faults.clone());
+            .with_faults(self.faults.clone())
+            .with_telemetry(probe.telemetry);
         match &self.mobility {
             Some(m) => config.with_timeline(m.timeline.clone()),
             None => config,
@@ -776,19 +754,8 @@ impl ScenarioRunner {
         probe: Probe,
     ) -> TrialCapture {
         let cfg = LbConfig::with_constants(epsilon1, 1.0, 2.0, 1.0);
-        let sched = self
-            .scenario
-            .adversary
-            .build_oblivious(master_seed)
-            .expect("validation rejects adaptive adversaries for amac flood");
-        let mut mac = amac::adapter::LbMac::with_recording(
-            &self.topo,
-            sched,
-            cfg,
-            master_seed,
-            Self::recording_for(probe.trace),
-        );
-        mac.set_telemetry(probe.telemetry);
+        let config = self.configuration(master_seed, probe);
+        let mut mac = amac::adapter::LbMac::from_configuration(config, cfg, master_seed);
         let f_ack = mac.params().t_ack_rounds();
         let n = self.graph.len();
         let horizon = self.horizon(f_ack, f_ack.saturating_mul(n as u64 + 4).saturating_mul(2));

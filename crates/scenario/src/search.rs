@@ -30,7 +30,7 @@
 //! are routine (see `docs/search.md`).
 
 use crate::campaign::Campaign;
-use crate::runner::TrialOutcome;
+use crate::runner::{ScenarioRunner, TrialOutcome};
 use crate::spec::{
     AdversarySpec, CrashSpec, DropSpec, FaultPlanSpec, JamSpec, RegionSpec, Scenario,
     ScenarioError, TransportSpec, WorkloadSpec, MAX_STOP_ROUNDS,
@@ -267,7 +267,9 @@ impl MovingJamSpace {
 /// from a validated space is a valid scenario by construction —
 /// windows are 1-based and non-empty, vertices in range, probabilities
 /// in `[0, 1]` — so the fuzz net can hammer the runner with raw
-/// samples.
+/// samples. Only the geometry can refuse one: a sampled moving disc may
+/// miss the deployment in every epoch it spans, and [`run_search`]
+/// drops such a window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpaceSpec {
     /// Latest round a sampled fault window may start at (use the base
@@ -908,8 +910,10 @@ impl SearchArchive {
 ///
 /// # Errors
 ///
-/// Returns the first validation failure; candidate scenarios drawn
-/// from a validated space always build.
+/// Returns the first validation failure. Candidate scenarios drawn
+/// from a validated space always build: a jam disc the fault compiler
+/// refuses because it hits no vertex in any epoch jams nothing, so it
+/// is dropped from its candidate before the candidate is evaluated.
 pub fn run_search(
     spec: &SearchSpec,
     threads: Option<usize>,
@@ -919,39 +923,65 @@ pub fn run_search(
     let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
     let mut strategy = spec.strategy.build();
     let mut entries: Vec<ArchiveEntry> = Vec::with_capacity(spec.budget);
+    let compile = |candidates: &[Candidate], first: usize| {
+        let scenarios = candidates
+            .iter()
+            .enumerate()
+            .map(|(j, c)| c.apply(spec, first + j))
+            .collect();
+        Campaign::new(scenarios)
+    };
     while entries.len() < spec.budget {
         let remaining = spec.budget - entries.len();
-        let candidates = strategy.propose(&spec.space, n, remaining, &mut rng);
+        let mut candidates = strategy.propose(&spec.space, n, remaining, &mut rng);
         assert!(
             !candidates.is_empty() && candidates.len() <= remaining,
             "strategy must propose 1..=remaining candidates"
         );
-        let scenarios: Vec<Scenario> = candidates
-            .iter()
-            .enumerate()
-            .map(|(j, c)| c.apply(spec, entries.len() + j))
-            .collect();
-        let mut campaign = Campaign::new(scenarios)?;
+        let mut campaign = match compile(&candidates, entries.len()) {
+            Ok(campaign) => campaign,
+            Err(_) => {
+                // A sampled disc can miss every node in every epoch it
+                // spans, and the fault compiler refuses such a window.
+                // It jams nothing, so drop it and compile once more: no
+                // coin is drawn, and the archive keeps the candidates as
+                // evaluated. A candidate without such a window is left
+                // as it is.
+                let mut bare = spec.base.clone();
+                bare.faults = FaultPlanSpec::default();
+                let geometry = ScenarioRunner::new(bare)?;
+                let epochs = geometry.epochs();
+                for c in &mut candidates {
+                    c.jams.retain(|j| {
+                        let alone = FaultPlanSpec {
+                            jams: vec![j.clone()],
+                            ..FaultPlanSpec::default()
+                        };
+                        alone.resolve(&epochs).is_ok()
+                    });
+                }
+                compile(&candidates, entries.len())?
+            }
+        };
         if let Some(t) = threads {
             campaign = campaign.threads(t);
         }
         let report = campaign.run();
-        let scored: Vec<(Candidate, f64)> = candidates
+        let metrics: Vec<CandidateMetrics> = report
+            .reports
             .iter()
-            .zip(&report.reports)
-            .map(|(c, r)| {
-                (
-                    c.clone(),
-                    spec.objective.score(&CandidateMetrics::of(&r.outcomes)),
-                )
-            })
+            .map(|r| CandidateMetrics::of(&r.outcomes))
+            .collect();
+        let scored: Vec<(Candidate, f64)> = candidates
+            .into_iter()
+            .zip(&metrics)
+            .map(|(c, m)| (c, spec.objective.score(m)))
             .collect();
         strategy.observe(&scored);
-        for (candidate, r) in candidates.into_iter().zip(report.reports) {
-            let metrics = CandidateMetrics::of(&r.outcomes);
+        for ((candidate, score), metrics) in scored.into_iter().zip(metrics) {
             entries.push(ArchiveEntry {
                 index: entries.len(),
-                score: spec.objective.score(&metrics),
+                score,
                 metrics,
                 candidate,
             });
@@ -1265,6 +1295,32 @@ mod tests {
         assert!(jams.iter().any(|j| j.is_moving()), "discs should drift");
         let back = SearchArchive::from_json(&archive.to_json()).unwrap();
         assert_eq!(back, archive);
+    }
+
+    /// A sampled disc can miss all 16 moving nodes in every epoch it
+    /// spans; at budget 20 the preset seed and seeds 1, 6 and 8 each
+    /// draw one. The window jams nothing, so the search drops it and
+    /// carries on, byte-identically at any thread count, and archives
+    /// only candidates that compile.
+    #[test]
+    fn mobile_jam_search_drops_discs_that_miss_the_deployment() {
+        let preset = find_preset("lb-mobile-jam").unwrap();
+        for seed in [preset.seed, 1, 6, 8] {
+            let spec = SearchSpec {
+                budget: 20,
+                seed,
+                ..preset.clone()
+            };
+            let archive = run_search(&spec, Some(1)).unwrap();
+            assert_eq!(archive.entries.len(), 20, "seed {seed}");
+            let threaded = run_search(&spec, Some(2)).unwrap();
+            assert_eq!(archive.to_json(), threaded.to_json(), "seed {seed}");
+            for entry in &archive.entries {
+                let found = found_scenario(&spec, entry);
+                ScenarioRunner::new(found)
+                    .unwrap_or_else(|e| panic!("seed {seed}, c{:04}: {e}", entry.index));
+            }
+        }
     }
 
     #[test]

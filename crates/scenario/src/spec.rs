@@ -15,8 +15,8 @@ use local_broadcast::LbConfig;
 use radio_sim::fault::FaultPlan;
 use radio_sim::geometry::{Embedding, Point};
 use radio_sim::graph::NodeId;
-use radio_sim::scheduler::{self, AdaptiveScheduler, LinkScheduler};
-use radio_sim::topology::{self, Topology};
+use radio_sim::scheduler::{self, AdaptiveScheduler, DutyCycleEdges, LinkScheduler};
+use radio_sim::topology::{self, RggParams, Topology};
 use seed_agreement::SeedConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -429,6 +429,17 @@ impl TopologySpec {
                 r,
                 seed,
             }),
+            TopologySpec::RandomGeometric { .. } | TopologySpec::ConstantDensity { .. } => {
+                topology::random_geometric(self.arena().expect("an arena family"))
+            }
+        }
+    }
+
+    /// The random-geometric deployment of the arena families
+    /// (`RandomGeometric` and `ConstantDensity`); `None` for every other
+    /// family. The static build and every mobility epoch deploy from it.
+    pub fn arena(&self) -> Option<RggParams> {
+        match *self {
             TopologySpec::RandomGeometric {
                 n,
                 side,
@@ -436,7 +447,7 @@ impl TopologySpec {
                 grey_reliable_p,
                 grey_unreliable_p,
                 seed,
-            } => topology::random_geometric(topology::RggParams {
+            } => Some(RggParams {
                 n,
                 side,
                 r,
@@ -445,8 +456,9 @@ impl TopologySpec {
                 seed,
             }),
             TopologySpec::ConstantDensity { n, density, r, seed } => {
-                topology::constant_density(n, density, r, seed)
+                Some(RggParams::constant_density(n, density, r, seed))
             }
+            _ => None,
         }
     }
 }
@@ -473,19 +485,23 @@ pub enum AdversarySpec {
         p: f64,
     },
     /// All extra edges for `high` rounds, none for `low`, repeating.
+    /// `ContentionPump` and `MaskedPumpAgainstDecay` are this same duty
+    /// cycle with derived lengths.
     Alternating {
         /// Rounds per cycle with all extra edges.
         high: u64,
         /// Rounds per cycle with none.
         low: u64,
     },
-    /// The §1 contention pump against a Decay cycle of the given length.
+    /// The §1 contention pump against a Decay cycle of the given length:
+    /// the duty cycle `Alternating { ⌈C/2⌉, ⌊C/2⌋ }`.
     ContentionPump {
         /// Baseline probability-cycle length (`log₂ Δ̂`).
         cycle: u64,
     },
-    /// The fully general anti-Decay pump: flood rungs whose transmit
-    /// probability exceeds `threshold`, starve the rest.
+    /// The anti-Decay pump: flood the rungs whose transmit probability
+    /// exceeds `threshold`, starve the rest. The ladder only falls, so
+    /// the flooded rungs lead each `log_delta`-round cycle.
     MaskedPumpAgainstDecay {
         /// Decay ladder length (`log₂ Δ̂`).
         log_delta: u32,
@@ -592,15 +608,15 @@ impl AdversarySpec {
                 Some(Box::new(scheduler::BernoulliEdges::new(p, master_seed)))
             }
             AdversarySpec::Alternating { high, low } => {
-                Some(Box::new(scheduler::AlternatingEdges::new(high, low)))
+                Some(Box::new(DutyCycleEdges::alternating(high, low)))
             }
             AdversarySpec::ContentionPump { cycle } => {
-                Some(Box::new(scheduler::ContentionPump::against_decay(cycle)))
+                Some(Box::new(DutyCycleEdges::against_decay(cycle)))
             }
             AdversarySpec::MaskedPumpAgainstDecay {
                 log_delta,
                 threshold,
-            } => Some(Box::new(scheduler::MaskedPump::against_decay_with_threshold(
+            } => Some(Box::new(DutyCycleEdges::against_decay_with_threshold(
                 log_delta, threshold,
             ))),
             AdversarySpec::Striped { k } => Some(Box::new(scheduler::StripedEdges::new(k))),
@@ -1112,9 +1128,9 @@ pub const MAX_SEED_BITS: usize = 4096;
 /// campaign runs in total (runs keep one outcome per trial in memory).
 pub const MAX_TRIALS: usize = 100_000;
 
-/// Upper bound on `MaskedPumpAgainstDecay`'s `log_delta` (the pump
-/// builds one mask entry per rung; a Decay ladder over
-/// [`MAX_TOPOLOGY_NODES`] vertices has 20).
+/// Upper bound on `MaskedPumpAgainstDecay`'s `log_delta`, the rung count
+/// of the pumped Decay cycle (a Decay ladder over [`MAX_TOPOLOGY_NODES`]
+/// vertices has 20 rungs).
 pub const MAX_PUMP_LOG_DELTA: u32 = 64;
 
 impl StopSpec {
@@ -1468,10 +1484,7 @@ impl Scenario {
             m.validate(self.stop.horizon_rounds(), self.topology.implied_edges())?;
             // Mobility re-samples an RGG from the moved embedding each
             // epoch; only the arena families have that construction.
-            if !matches!(
-                self.topology,
-                TopologySpec::RandomGeometric { .. } | TopologySpec::ConstantDensity { .. }
-            ) {
+            if self.topology.arena().is_none() {
                 return Err(invalid(
                     "mobility: only the RandomGeometric and ConstantDensity \
                      arena topologies support node mobility",
@@ -2073,6 +2086,56 @@ mod tests {
                 built <= expected * 1.05 && built >= expected * 0.7,
                 "{spec:?}: expected {expected}, built {built}"
             );
+        }
+    }
+
+    /// Every pump variant schedules exactly the rule its docs state, over
+    /// three cycles: `Alternating` pumps `(t−1) mod (h+l) < h`,
+    /// `ContentionPump` `(t−1) mod c < ⌈c/2⌉`, and
+    /// `MaskedPumpAgainstDecay` each round whose rung probability
+    /// `2^−((t−1) mod L + 1)` exceeds τ, evaluated rung by rung, so the
+    /// prefix form of the threshold mask is checked rather than assumed.
+    #[test]
+    fn duty_cycle_adversaries_follow_their_documented_rules() {
+        let g = topology::clique(2, 1.0).graph;
+        let follows = |spec: &AdversarySpec, cycle: u64, rule: &dyn Fn(u64) -> bool| {
+            spec.validate().unwrap();
+            let mut sched = spec.build_oblivious(0).expect("an oblivious adversary");
+            for t in 1..=3 * cycle {
+                let want = if rule(t) {
+                    scheduler::EdgeSelection::All
+                } else {
+                    scheduler::EdgeSelection::None
+                };
+                assert_eq!(sched.extra_edges(t, &g), want, "{spec:?}, round {t}");
+            }
+        };
+        for high in 0..=6u64 {
+            for low in (0..=6u64).filter(|&low| high + low > 0) {
+                let spec = AdversarySpec::Alternating { high, low };
+                follows(&spec, high + low, &|t| (t - 1) % (high + low) < high);
+            }
+        }
+        for c in 1..=64u64 {
+            let spec = AdversarySpec::ContentionPump { cycle: c };
+            follows(&spec, c, &|t| (t - 1) % c < c.div_ceil(2));
+        }
+        // 2^-i, exactly, for the rungs i ≤ 64 the cap allows.
+        let rung = |i: u64| 1.0 / (1u128 << i) as f64;
+        let just_below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut thresholds = vec![0.0, f64::from_bits(1), 0.45, 0.5, 1.0];
+        for k in 1..=64 {
+            thresholds.extend([rung(k), just_below(rung(k))]);
+        }
+        for log_delta in 1..=MAX_PUMP_LOG_DELTA {
+            let l = u64::from(log_delta);
+            for &threshold in &thresholds {
+                let spec = AdversarySpec::MaskedPumpAgainstDecay {
+                    log_delta,
+                    threshold,
+                };
+                follows(&spec, l, &|t| rung((t - 1) % l + 1) > threshold);
+            }
         }
     }
 

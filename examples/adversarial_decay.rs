@@ -13,7 +13,7 @@ use dual_graph_broadcast::local_broadcast::config::LbConfig;
 use dual_graph_broadcast::local_broadcast::msg::{LbInput, LbMsg, Payload};
 use dual_graph_broadcast::radio_sim::prelude::*;
 use radio_sim::environment::ScriptedEnvironment;
-use radio_sim::scheduler::MaskedPump;
+use radio_sim::scheduler::DutyCycleEdges;
 use radio_sim::trace::RecordingPolicy;
 
 /// Receiver at the origin, one reliable sender nearby, `grey` unreliable
@@ -45,7 +45,7 @@ fn decay_latency(topo: &radio_sim::topology::Topology, grey: usize, pump: bool, 
         .collect();
     let log_delta = topo.graph.delta().next_power_of_two().trailing_zeros();
     let sched: Box<dyn scheduler::LinkScheduler> = if pump {
-        Box::new(MaskedPump::against_decay_with_threshold(
+        Box::new(DutyCycleEdges::against_decay_with_threshold(
             log_delta,
             (8.0 / grey as f64).min(0.45),
         ))
@@ -75,7 +75,7 @@ fn lbalg_latency(topo: &radio_sim::topology::Topology, grey: usize, seed: u64) -
         .collect();
     let log_delta = topo.graph.delta().next_power_of_two().trailing_zeros();
     let config = topo
-        .configuration(Box::new(MaskedPump::against_decay_with_threshold(
+        .configuration(Box::new(DutyCycleEdges::against_decay_with_threshold(
             log_delta,
             (8.0 / grey as f64).min(0.45),
         )))

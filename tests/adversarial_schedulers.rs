@@ -9,7 +9,7 @@ use dual_graph_broadcast::local_broadcast::msg::{LbInput, LbMsg, Payload};
 use dual_graph_broadcast::local_broadcast::spec as lb_spec;
 use dual_graph_broadcast::radio_sim::prelude::*;
 use radio_sim::environment::ScriptedEnvironment;
-use radio_sim::scheduler::MaskedPump;
+use radio_sim::scheduler::DutyCycleEdges;
 use radio_sim::trace::RecordingPolicy;
 
 fn sandwich() -> radio_sim::topology::Topology {
@@ -60,8 +60,8 @@ fn uniform_baseline_acks_on_schedule() {
 #[test]
 fn masked_pump_cycles_deterministically() {
     let topo = sandwich();
-    let mut a = MaskedPump::against_decay_with_threshold(4, 0.2);
-    let mut b = MaskedPump::against_decay_with_threshold(4, 0.2);
+    let mut a = DutyCycleEdges::against_decay_with_threshold(4, 0.2);
+    let mut b = DutyCycleEdges::against_decay_with_threshold(4, 0.2);
     for t in 1..=32 {
         assert_eq!(a.extra_edges(t, &topo.graph), b.extra_edges(t, &topo.graph));
     }

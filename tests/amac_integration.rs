@@ -18,7 +18,7 @@ fn flood_crosses_unreliable_shortcuts() {
     let topo = topology::line(5, 0.9, 2.0);
     let mut mac = LbMac::new(
         &topo,
-        Box::new(scheduler::AlternatingEdges::new(2, 3)),
+        Box::new(scheduler::DutyCycleEdges::alternating(2, 3)),
         cfg(),
         13,
     );

@@ -99,7 +99,7 @@ fn consensus_tolerates_unreliable_links() {
     let cfg = LbConfig::with_constants(0.25, 1.0, 2.0, 1.0);
     let mut mac = LbMac::new(
         &topo,
-        Box::new(scheduler::AlternatingEdges::new(2, 2)),
+        Box::new(scheduler::DutyCycleEdges::alternating(2, 2)),
         cfg,
         11,
     );
